@@ -18,13 +18,15 @@ graph yields the ribbon (orientation-preserving) variants.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, UsageError
-from .graphs import MoebiusGraph, TopologyProfile, topology
+from .graphs import MoebiusGraph, TopologyProfile, _vertex_forest, flip_vertex, topology
 from .npoly import NPoly
 
 HALF_EDGE_BUDGET = 16
@@ -132,8 +134,14 @@ def _traverse(h0, d0, valences, succ, pred, vertex_of, partner, edge_of, twists,
     return out, not better
 
 
-def _canon(valences, succ, pred, vertex_of, partner, edge_of, twists):
-    """Canonical stream plus flag counts (all flags / positive flags)."""
+def _canon(valences, succ, pred, vertex_of, partner, edge_of, twists,
+           directions=(0, 1)):
+    """Canonical stream plus flag counts (all flags / positive flags).
+
+    The competition runs over start flags at maximal-valence vertices in
+    the given local directions; ``(0,)`` keeps positive flags only, the
+    ribbon (flip-free) competition.
+    """
     n = len(partner)
     maxval = max(valences)
     best = None
@@ -142,7 +150,7 @@ def _canon(valences, succ, pred, vertex_of, partner, edge_of, twists):
     for h0 in range(n):
         if valences[vertex_of[h0]] != maxval:
             continue
-        for d0 in (0, 1):
+        for d0 in directions:
             stream, tied = _traverse(h0, d0, valences, succ, pred, vertex_of,
                                      partner, edge_of, twists, best)
             if stream is None:
@@ -159,19 +167,9 @@ def _canon(valences, succ, pred, vertex_of, partner, edge_of, twists):
 
 def _graph_from_stream(stream: Tuple[int, ...]) -> MoebiusGraph:
     """Rebuild the canonical representative graph encoded by a stream."""
-    root_val = -stream[0]
-    blocks = [root_val]
-    n = root_val
     # first pass: vertex blocks in discovery order
-    for tok in stream[1:]:
-        if tok < 0:
-            blocks.append(-tok)
-            n += -tok
-    rotations = []
-    base = 0
-    for size in blocks:
-        rotations.append(tuple(range(base, base + size)))
-        base += size
+    blocks = [-tok for tok in stream if tok < 0]
+    rotations = _blocks(blocks)
 
     edges: List[Tuple[int, int]] = []
     twists: List[bool] = []
@@ -202,23 +200,10 @@ def _stream_to_bytes(stream: Tuple[int, ...]) -> bytes:
 
 
 def _component_split(graph: MoebiusGraph) -> List[MoebiusGraph]:
-    if graph.is_connected():
+    comp = graph._forest()[0]
+    n_comp = max(comp, default=0) + 1
+    if n_comp == 1:
         return [graph]
-    comp = [-1] * graph.n_vertices
-    n_comp = 0
-    for root in range(graph.n_vertices):
-        if comp[root] != -1:
-            continue
-        comp[root] = n_comp
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for h in graph.rotations[v]:
-                w = graph.vertex_of(graph.partner(h))
-                if comp[w] == -1:
-                    comp[w] = n_comp
-                    stack.append(w)
-        n_comp += 1
     parts = []
     for c in range(n_comp):
         verts = [v for v in range(graph.n_vertices) if comp[v] == c]
@@ -256,28 +241,10 @@ def normalize_twists(graph: MoebiusGraph) -> MoebiusGraph:
     Orientable graphs come back twist-free; non-orientable ones keep the
     odd cycle parities on non-forest edges.
     """
-    n_v = graph.n_vertices
-    par = [-1] * n_v
-    for root in range(n_v):
-        if par[root] != -1:
-            continue
-        par[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for h in graph.rotations[v]:
-                e = graph.edge_of(h)
-                w = graph.vertex_of(graph.partner(h))
-                if par[w] == -1:
-                    par[w] = par[v] ^ graph.twists[e]
-                    stack.append(w)
-    rotations = [tuple(reversed(r)) if par[v] else tuple(r)
-                 for v, r in enumerate(graph.rotations)]
-    twists = []
-    for idx, (a, b) in enumerate(graph.edges):
-        u, w = graph.vertex_of(a), graph.vertex_of(b)
-        twists.append(graph.twists[idx] ^ bool(par[u]) ^ bool(par[w]))
-    return MoebiusGraph(rotations, graph.edges, twists)
+    for v, flip in enumerate(graph._forest()[1]):
+        if flip:
+            graph = flip_vertex(graph, v)
+    return graph
 
 
 def automorphism_count(graph: MoebiusGraph, mode: str = "moebius") -> int:
@@ -314,23 +281,20 @@ def _ribbon_order(count_all: int, count_plus: int) -> int:
 
 # -- exhaustive generation -----------------------------------------------------
 
-def _layout(key: ProfileKey):
-    """Fixed half-edge layout for a profile: consecutive blocks, one per vertex."""
+def _blocks(sizes) -> List[Tuple[int, ...]]:
+    """Rotations over consecutive half-edge blocks, one block per vertex."""
     rotations = []
     base = 0
-    for j in key:
-        rotations.append(tuple(range(base, base + j)))
-        base += j
-    n = base
-    succ = [0] * n
-    pred = [0] * n
-    vertex_of = [0] * n
-    for v, rot in enumerate(rotations):
-        for i, h in enumerate(rot):
-            vertex_of[h] = v
-            succ[h] = rot[(i + 1) % len(rot)]
-            pred[h] = rot[i - 1]
-    return rotations, tuple(succ), tuple(pred), tuple(vertex_of)
+    for size in sizes:
+        rotations.append(tuple(range(base, base + size)))
+        base += size
+    return rotations
+
+
+def _layout(key: ProfileKey):
+    """Fixed half-edge layout for a profile: its rotation arrays, no edges yet."""
+    g = MoebiusGraph(_blocks(key), [], [], check=False)
+    return g.rotations, g._succ, g._pred, g._vertex_of
 
 
 def _matchings(items: List[int]) -> Iterator[List[Tuple[int, int]]]:
@@ -351,39 +315,32 @@ def _check_budget(key: ProfileKey, budget: int) -> None:
                           % (profile_dict(key), sum(key), budget))
 
 
-@lru_cache(maxsize=None)
-def _connected_catalog(key: ProfileKey) -> Tuple[GraphCatalogEntry, ...]:
-    valences = key
-    n_vert = len(valences)
-    rotations, succ, pred, vertex_of = _layout(key)
-    n = sum(valences)
+def _connected_matchings(rotations, vertex_of):
+    """Pairings of the layout's half-edges whose vertex graph is connected.
 
-    classes: Dict[Tuple[int, ...], GraphCatalogEntry] = {}
+    Yields (partner, edge_of, tree), tree flagging a spanning tree's edges.
+    """
+    n = len(vertex_of)
+    untwisted = [False] * (n // 2)
     for pairs in _matchings(list(range(n))):
         partner = [0] * n
         edge_of = [0] * n
         for idx, (a, b) in enumerate(pairs):
             partner[a], partner[b] = b, a
             edge_of[a] = edge_of[b] = idx
+        comp, _, tree, _ = _vertex_forest(rotations, vertex_of, partner, edge_of, untwisted)
+        if max(comp) == 0:
+            yield partner, edge_of, tree
 
-        # connectivity over vertices, collecting a spanning tree of edges
-        seen = [False] * n_vert
-        seen[0] = True
-        stack = [0]
-        tree = [False] * len(pairs)
-        reached = 1
-        while stack:
-            v = stack.pop()
-            for h in rotations[v]:
-                w = vertex_of[partner[h]]
-                if not seen[w]:
-                    seen[w] = True
-                    tree[edge_of[h]] = True
-                    reached += 1
-                    stack.append(w)
-        if reached != n_vert:
-            continue
-        cotree = [idx for idx in range(len(pairs)) if not tree[idx]]
+
+@lru_cache(maxsize=None)
+def _connected_catalog(key: ProfileKey) -> Tuple[GraphCatalogEntry, ...]:
+    valences = key
+    rotations, succ, pred, vertex_of = _layout(key)
+
+    classes: Dict[Tuple[int, ...], GraphCatalogEntry] = {}
+    for partner, edge_of, tree in _connected_matchings(rotations, vertex_of):
+        cotree = [idx for idx, in_tree in enumerate(tree) if not in_tree]
 
         # Twists run over the cotree only: a tree-supported toggle pattern
         # is realized by flips, whose rotation reversals land (after
@@ -391,7 +348,7 @@ def _connected_catalog(key: ProfileKey) -> Tuple[GraphCatalogEntry, ...]:
         # union over all matchings is what matters; it is checked against
         # the full 2**e twist sweep and against the labelled pairing-sum
         # identity in the tests.
-        twists = [False] * len(pairs)
+        twists = [False] * len(tree)
         for bits in range(1 << len(cotree)):
             for pos, idx in enumerate(cotree):
                 twists[idx] = bool((bits >> pos) & 1)
@@ -406,8 +363,6 @@ def _connected_catalog(key: ProfileKey) -> Tuple[GraphCatalogEntry, ...]:
                 aut_moebius=count_all,
                 aut_ribbon=_ribbon_order(count_all, count_plus) if bits == 0 else None,
                 topology=topology(rep))
-        for idx in cotree:
-            twists[idx] = False
 
     return tuple(sorted(classes.values(), key=lambda entry: entry.code))
 
@@ -449,23 +404,13 @@ def _full_catalog(key: ProfileKey) -> Tuple[GraphCatalogEntry, ...]:
             entry = combo[0]
             out[entry.code] = entry
             continue
-        aut = 1
-        mult: Dict[bytes, int] = {}
-        for entry in combo:
-            aut *= entry.aut_moebius
-            mult[entry.code] = mult.get(entry.code, 0) + 1
-        for m in mult.values():
-            for i in range(2, m + 1):
-                aut *= i
+        # repeated components add their permutations to either group
+        sym = prod(factorial(m) for m in Counter(c.code for c in combo).values())
+        aut = sym * prod(c.aut_moebius for c in combo)
         ribbon = None
         if all(c.aut_ribbon is not None for c in combo):
             # convention: value of the all-equal-orientation representative
-            ribbon = 1
-            for entry in combo:
-                ribbon *= entry.aut_ribbon
-            for m in mult.values():
-                for i in range(2, m + 1):
-                    ribbon *= i
+            ribbon = sym * prod(c.aut_ribbon for c in combo)
         graph = _disjoint_union([c.graph for c in combo])
         code = canonical_code(graph)
         out[code] = GraphCatalogEntry(
@@ -502,60 +447,23 @@ def enumerate_graphs(profile, connected_only: bool = True,
 
 @lru_cache(maxsize=None)
 def _ribbon_catalog(key: ProfileKey) -> Tuple[Tuple[bytes, int, TopologyProfile], ...]:
-    """Connected ribbon classes: untwisted matchings modulo rotations only."""
-    valences = key
-    n_vert = len(valences)
-    rotations, succ, pred, vertex_of = _layout(key)
-    n = sum(valences)
+    """Connected ribbon classes: untwisted matchings modulo rotations only.
 
+    A deliberate independent route to the ribbon classes: it never builds
+    the Moebius catalog nor uses its flip quotient, so criterion 9 (the
+    Moebius/ribbon factor-two identity) and the ribbon orbit-stabilizer
+    and hermitian-tag tests compare two separate enumerations.
+    """
+    rotations, succ, pred, vertex_of = _layout(key)
+    untwisted = [False] * (sum(key) // 2)
     classes: Dict[Tuple[int, ...], Tuple[bytes, int, TopologyProfile]] = {}
-    for pairs in _matchings(list(range(n))):
-        partner = [0] * n
-        edge_of = [0] * n
-        for idx, (a, b) in enumerate(pairs):
-            partner[a], partner[b] = b, a
-            edge_of[a] = edge_of[b] = idx
-        seen = [False] * n_vert
-        seen[0] = True
-        stack = [0]
-        reached = 1
-        while stack:
-            v = stack.pop()
-            for h in rotations[v]:
-                w = vertex_of[partner[h]]
-                if not seen[w]:
-                    seen[w] = True
-                    reached += 1
-                    stack.append(w)
-        if reached != n_vert:
-            continue
-        twists = [False] * len(pairs)
-        stream, aut = _ribbon_canon(valences, succ, pred, vertex_of,
-                                    partner, edge_of, twists)
+    for partner, edge_of, _ in _connected_matchings(rotations, vertex_of):
+        stream, aut, _ = _canon(key, succ, pred, vertex_of, partner, edge_of,
+                                untwisted, directions=(0,))
         if stream not in classes:
             rep = _graph_from_stream(stream)
             classes[stream] = (_stream_to_bytes(stream), aut, topology(rep))
     return tuple(classes[s] for s in sorted(classes))
-
-
-def _ribbon_canon(valences, succ, pred, vertex_of, partner, edge_of, twists):
-    n = len(partner)
-    maxval = max(valences)
-    best = None
-    count = 0
-    for h0 in range(n):
-        if valences[vertex_of[h0]] != maxval:
-            continue
-        stream, tied = _traverse(h0, 0, valences, succ, pred, vertex_of,
-                                 partner, edge_of, twists, best)
-        if stream is None:
-            continue
-        if tied:
-            count += 1
-        else:
-            best = stream
-            count = 1
-    return tuple(best), count
 
 
 def ribbon_classes(profile, half_edge_budget: int = HALF_EDGE_BUDGET):
@@ -581,6 +489,10 @@ def labeled_pairing_sum(profile, weight_rule=weight_nf, mode: str = "moebius",
     with the flip-free order prod_j v_j! j**v_j.  With the weight N**f both
     reproduce sum(N**f / |Aut|) over their class sets exactly
     (orbit-stabilizer), which is the self-check the catalog leans on.
+
+    A deliberate independent route: it visits every labelled gluing and
+    never canonicalizes, so the pairing-sum and orbit-stabilizer tests can
+    catch a class the catalog misses or an automorphism order it miscounts.
     """
     if mode not in ("moebius", "ribbon"):
         raise UsageError("mode must be 'moebius' or 'ribbon'")

@@ -18,7 +18,6 @@ from typing import List, Optional
 from . import catalog, clt as clt_mod, dualchar, oracle as oracle_mod, penner, series, sprinkle
 from .errors import BudgetError, StructuralError, UsageError, VerificationError
 from .graphs import graph_from_json, topology
-from .parallel import pmap
 
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
@@ -27,7 +26,13 @@ EXIT_STRUCTURAL = 5
 
 
 def _env_budget(name: str, fallback: int) -> int:
-    return int(os.environ.get(name, fallback))
+    text = os.environ.get(name)
+    if text is None:
+        return fallback
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UsageError("%s must be an integer, got %r" % (name, text)) from exc
 
 
 @dataclass
@@ -125,35 +130,16 @@ def _cmd_graphs(config: RunConfig) -> int:
     return 0
 
 
-def _expand_worker(args):
-    monomial, tag, beta, budget = args
-    total = None
-    for entry in catalog.enumerate_graphs(list(monomial), connected_only=True,
-                                          half_edge_budget=budget):
-        weight = series._WEIGHTS[tag](entry.topology, beta) * Fraction(1, entry.aut_moebius)
-        total = weight if total is None else total + weight
-    return monomial, (total.to_json() if total else None)
-
-
 def _cmd_expand(config: RunConfig) -> int:
     opts = config.options
-    tag = opts["tag"]
-    beta = series._validate_tag(tag, opts["beta"])
-    include_t1, include_t2 = opts["t1"], opts["t2"]
-    if tag == "gse-penner":
-        include_t1 = include_t2 = False
-
-    def allowed(j: int) -> bool:
-        return not ((j == 1 and not include_t1) or (j == 2 and not include_t2))
-
-    monomials = list(series.iter_monomials(opts["degree"], allowed=allowed))
-    results = pmap(_expand_worker,
-                   [(m, tag, beta, config.budgets.half_edges) for m in monomials],
-                   config.threads)
-    data = [{"monomial": list(m), "coeff": coeff}
-            for m, coeff in results if coeff]
-    rows = [[" ".join("t%d" % j for j in m), json.dumps(c, sort_keys=True)]
-            for m, c in results if c]
+    logz = series.expand_logZ(opts["tag"], opts["degree"], opts["beta"],
+                              opts["t1"], opts["t2"],
+                              half_edge_budget=config.budgets.half_edges,
+                              threads=config.threads)
+    # expansion order, as the monomials are generated, not sorted
+    data = [{"monomial": list(m), "coeff": c.to_json()} for m, c in logz.terms.items()]
+    rows = [[" ".join("t%d" % j for j in rec["monomial"]),
+             json.dumps(rec["coeff"], sort_keys=True)] for rec in data]
     _emit(data, config.format, (["monomial", "coefficient"], rows))
     return 0
 

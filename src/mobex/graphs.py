@@ -114,18 +114,12 @@ class MoebiusGraph:
         return self._vertex_of[a] == self._vertex_of[b]
 
     def is_connected(self) -> bool:
-        if self.n_vertices <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for h in self.rotations[v]:
-                w = self._vertex_of[self._partner[h]]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n_vertices
+        return self.n_vertices <= 1 or max(self._forest()[0]) == 0
+
+    def _forest(self):
+        """Spanning forest of the vertex graph; see ``_vertex_forest``."""
+        return _vertex_forest(self.rotations, self._vertex_of, self._partner,
+                             self._edge_of, self.twists)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MoebiusGraph):
@@ -231,32 +225,50 @@ def trace_faces(graph: MoebiusGraph) -> List[List[State]]:
     return faces
 
 
-def orientability(graph: MoebiusGraph) -> int:
-    """+1 iff the twist bits form a coboundary over the vertex graph.
+def _vertex_forest(rotations, vertex_of, partner, edge_of, twists):
+    """Depth-first spanning forest of the vertex graph, on raw arrays.
 
-    Breadth-first parity labelling: crossing a twisted edge flips the local
-    orientation sign; a contradiction (in particular any twisted loop)
-    certifies non-orientability.
+    Returns (comp, parity, tree, coherent): each vertex's component index
+    and twist parity relative to its component root (crossing a twisted
+    edge flips it), a flag per edge marking the forest edges, and whether
+    every edge agrees with the parities of its ends, i.e. whether the twist
+    bits form a coboundary.
     """
-    n_v = graph.n_vertices
-    sign = [-1] * n_v  # -1 = unassigned; store 0/1 parity
-    for root in range(n_v):
-        if sign[root] != -1:
+    comp = [-1] * len(rotations)
+    parity = [0] * len(rotations)
+    tree = [False] * len(twists)
+    coherent = True
+    n_comp = 0
+    for root in range(len(rotations)):
+        if comp[root] != -1:
             continue
-        sign[root] = 0
+        comp[root] = n_comp
         stack = [root]
         while stack:
             v = stack.pop()
-            for h in graph.rotations[v]:
-                e = graph._edge_of[h]
-                w = graph._vertex_of[graph._partner[h]]
-                want = sign[v] ^ graph.twists[e]
-                if sign[w] == -1:
-                    sign[w] = want
+            for h in rotations[v]:
+                e = edge_of[h]
+                w = vertex_of[partner[h]]
+                want = parity[v] ^ twists[e]
+                if comp[w] == -1:
+                    comp[w] = n_comp
+                    parity[w] = want
+                    tree[e] = True
                     stack.append(w)
-                elif sign[w] != want:
-                    return -1
-    return 1
+                elif parity[w] != want:
+                    coherent = False
+        n_comp += 1
+    return comp, parity, tree, coherent
+
+
+def orientability(graph: MoebiusGraph) -> int:
+    """+1 iff the twist bits form a coboundary over the vertex graph.
+
+    Crossing a twisted edge flips the local orientation sign; a
+    contradiction (in particular any twisted loop) certifies
+    non-orientability.
+    """
+    return 1 if graph._forest()[3] else -1
 
 
 def topology(graph: MoebiusGraph) -> TopologyProfile:
@@ -350,8 +362,12 @@ def graph_to_json(graph: MoebiusGraph) -> str:
 
 
 def graph_from_json(text: str) -> MoebiusGraph:
+    """Parse the wire format; twist bits must be JSON booleans, not coerced."""
     try:
         data = json.loads(text)
-        return MoebiusGraph(data["rotations"], data["edges"], data["twists"])
+        twists = data["twists"]
+        if not isinstance(twists, list) or not all(isinstance(t, bool) for t in twists):
+            raise StructuralError("twist bits must be a list of JSON booleans")
+        return MoebiusGraph(data["rotations"], data["edges"], twists)
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise StructuralError("invalid graph JSON: %s" % exc) from exc

@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import BudgetError, UsageError, VerificationError
 from .npoly import NPoly
-from .series import CouplingSeries, expand_logZ, iter_monomials
+from .series import CouplingSeries, _validate_tag, expand_logZ, tag_monomials
 
 ORACLE_DEGREE_BUDGET = 8
 
@@ -249,8 +249,10 @@ def eigenvalue_moment(query: MomentQuery, budget: int = ORACLE_DEGREE_BUDGET) ->
 def isserlis_trace_moment(n: int, powers: Sequence[int], c: Fraction) -> Fraction:
     """E[prod_l tr S**{j_l}] from Wick pairings of matrix entries.
 
-    Independent of the eigenvalue route: uses the symmetric propagator
-    <S_ab S_cd> = (delta_ac delta_bd + delta_ad delta_bc) / (4c).
+    A deliberate independent route, kept beside the chamber-Pfaffian
+    eigenvalue route for the GOE moments tests: it uses the symmetric
+    propagator <S_ab S_cd> = (delta_ac delta_bd + delta_ad delta_bc) / (4c)
+    and never diagonalizes.
     """
     m2 = sum(powers)
     if m2 % 2:
@@ -310,25 +312,11 @@ def oracle_logZ(beta: int, tag: str, degree: int, n: int,
     """log Z as a t-series with rational coefficients, from eigenvalue moments."""
     if degree > budget:
         raise BudgetError("degree %d exceeds oracle budget %d" % (degree, budget))
-    if tag not in _TAG_DICTIONARY:
-        raise UsageError("unknown tag %r" % tag)
-    if tag == "hermitian" and beta != 2:
-        raise UsageError("hermitian tag fixes beta = 2")
-    if tag == "gse-penner":
-        if beta != 4:
-            raise UsageError("gse-penner tag fixes beta = 4")
-        include_t1 = include_t2 = False
+    _validate_tag(tag, beta)
     vand_beta, scale, gfun = _TAG_DICTIONARY[tag](beta, n)
 
-    def allowed(j: int) -> bool:
-        if j == 1 and not include_t1:
-            return False
-        if j == 2 and not include_t2:
-            return False
-        return True
-
     z = CouplingSeries(degree, {(): NPoly.const(1)})
-    for monomial in iter_monomials(degree, allowed=allowed):
+    for monomial in tag_monomials(tag, degree, include_t1, include_t2):
         counts: Dict[int, int] = {}
         for j in monomial:
             counts[j] = counts.get(j, 0) + 1

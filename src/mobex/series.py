@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .catalog import HALF_EDGE_BUDGET, enumerate_graphs
-from .errors import UsageError
+from .errors import BudgetError, UsageError
 from .graphs import TopologyProfile
 from .npoly import NPoly
+from .parallel import pmap
 from .sprinkle import mu_closed_form
 
 Monomial = Tuple[int, ...]
@@ -174,24 +175,18 @@ def series_one(degree: int) -> CouplingSeries:
 
 # -- profile iteration ----------------------------------------------------------
 
-def iter_monomials(degree: int, j_min: int = 1, j_max: Optional[int] = None,
-                   allowed: Optional[Callable[[int], bool]] = None
+def iter_monomials(degree: int, allowed: Optional[Callable[[int], bool]] = None
                    ) -> Iterator[Monomial]:
     """Nonempty valence multisets of weighted degree <= degree (even totals)."""
-    cap = degree if j_max is None else min(degree, j_max)
 
     def rec(budget: int, j: int) -> Iterator[Tuple[int, ...]]:
-        if j < j_min:
-            return
         yield ()
-        for jj in range(j, j_min - 1, -1):
-            if allowed is not None and not allowed(jj):
-                continue
-            if jj <= budget:
+        for jj in range(min(budget, j), 0, -1):
+            if allowed is None or allowed(jj):
                 for rest in rec(budget - jj, jj):
                     yield (jj,) + rest
 
-    for combo in rec(degree, cap):
+    for combo in rec(degree, degree):
         if combo and sum(combo) % 2 == 0:
             yield tuple(sorted(combo))
 
@@ -255,34 +250,50 @@ def _validate_tag(tag: str, beta: Optional[int]) -> Optional[int]:
     return beta
 
 
-def expand_logZ(tag: str, degree: int, beta: Optional[int] = None,
-                include_t1: bool = True, include_t2: bool = True,
-                half_edge_budget: int = HALF_EDGE_BUDGET) -> CouplingSeries:
-    """Connected Moebius-graph sum for log Z in the chosen normalization."""
-    beta = _validate_tag(tag, beta)
-    weight = _WEIGHTS[tag]
-    if degree > half_edge_budget:
-        raise UsageError("truncation degree %d exceeds half-edge budget %d"
-                         % (degree, half_edge_budget))
+def tag_monomials(tag: str, degree: int, include_t1: bool = True,
+                  include_t2: bool = True) -> List[Monomial]:
+    """The coupling monomials a tag expands to the truncation degree.
+
+    t_1 and t_2 drop out on request, and always for gse-penner, whose
+    couplings start at j = 3.
+    """
+    if degree < 0:
+        raise UsageError("truncation degree must be >= 0, got %d" % degree)
     if tag == "gse-penner":
         include_t1 = include_t2 = False
+    dropped = {j for j, keep in ((1, include_t1), (2, include_t2)) if not keep}
+    return list(iter_monomials(degree, allowed=lambda j: j not in dropped))
 
-    def allowed(j: int) -> bool:
-        if j == 1 and not include_t1:
-            return False
-        if j == 2 and not include_t2:
-            return False
-        return True
 
-    series = CouplingSeries(degree, {})
-    for monomial in iter_monomials(degree, j_min=1, allowed=allowed):
-        total = NPoly.zero()
-        for entry in enumerate_graphs(list(monomial), connected_only=True,
-                                      half_edge_budget=half_edge_budget):
-            total = total + weight(entry.topology, beta) * Fraction(1, entry.aut_moebius)
-        if total:
-            series.terms[monomial] = total
-    return series
+def _connected_sum(args) -> NPoly:
+    """Weighted connected-class sum of one monomial (a pmap worker)."""
+    monomial, tag, beta, half_edge_budget = args
+    weight = _WEIGHTS[tag]
+    total = NPoly.zero()
+    for entry in enumerate_graphs(list(monomial), connected_only=True,
+                                  half_edge_budget=half_edge_budget):
+        total = total + weight(entry.topology, beta) * Fraction(1, entry.aut_moebius)
+    return total
+
+
+def expand_logZ(tag: str, degree: int, beta: Optional[int] = None,
+                include_t1: bool = True, include_t2: bool = True,
+                half_edge_budget: int = HALF_EDGE_BUDGET,
+                threads: int = 1) -> CouplingSeries:
+    """Connected Moebius-graph sum for log Z in the chosen normalization.
+
+    Monomials are summed by ``threads`` workers; the result never depends
+    on their number.
+    """
+    beta = _validate_tag(tag, beta)
+    monomials = tag_monomials(tag, degree, include_t1, include_t2)
+    needed = degree - degree % 2
+    if needed > half_edge_budget:
+        raise BudgetError("truncation degree %d needs %d half-edges, budget is %d"
+                          % (degree, needed, half_edge_budget))
+    totals = pmap(_connected_sum,
+                  [(m, tag, beta, half_edge_budget) for m in monomials], threads)
+    return CouplingSeries(degree, {m: t for m, t in zip(monomials, totals) if t})
 
 
 def expand_Z(tag: str, degree: int, beta: Optional[int] = None,

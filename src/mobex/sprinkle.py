@@ -93,6 +93,18 @@ class MuReport:
 
 def mu_bruteforce(graph: MoebiusGraph, beta: int,
                   assignment_budget: int = MU_ASSIGNMENT_BUDGET) -> int:
+    """mu by summing over all beta**e unit assignments.
+
+    A deliberate independent route to ``mu_closed_form``: it never looks
+    at the surface, so criterion 1 (the mu invariant suite), the
+    calibration values and ``mu_report`` check the closed form against it.
+    """
+    return _unit_sweep(graph, beta, assignment_budget)[0]
+
+
+def _unit_sweep(graph: MoebiusGraph, beta: int,
+                assignment_budget: int) -> Tuple[int, int]:
+    """(mu, number of assignments with every vertex product real)."""
     if beta not in (1, 2, 4):
         raise UsageError("beta must be 1, 2 or 4")
     if not graph.is_connected():
@@ -128,7 +140,7 @@ def mu_bruteforce(graph: MoebiusGraph, beta: int,
             if units[eidx] and untwisted[eidx]:
                 sign = -sign
         total += sign
-    return total
+    return total, counted
 
 
 def mu_closed_form(profile: TopologyProfile, beta: int) -> int:
@@ -151,28 +163,11 @@ def mu_closed_form(profile: TopologyProfile, beta: int) -> int:
 
 def mu_report(graph: MoebiusGraph, beta: int,
               assignment_budget: int = MU_ASSIGNMENT_BUDGET) -> MuReport:
-    brute = mu_bruteforce(graph, beta, assignment_budget)
+    brute, counted = _unit_sweep(graph, beta, assignment_budget)
     closed = mu_closed_form(topology(graph), beta)
-    counted = _count_real_configurations(graph, beta)
     return MuReport(graph_id=canonical_code(graph).decode(),
                     beta=beta, mu_bruteforce=brute, mu_closed=closed,
                     configurations_counted=counted)
-
-
-def _count_real_configurations(graph: MoebiusGraph, beta: int) -> int:
-    vertex_edge_seq = [tuple(graph.edge_of(h) for h in rot) for rot in graph.rotations]
-    mul = _QMUL
-    counted = 0
-    for units in product(range(beta), repeat=graph.n_edges):
-        for seq in vertex_edge_seq:
-            acc = 0
-            for eidx in seq:
-                acc = mul[acc][units[eidx]]
-            if acc & 3:
-                break
-        else:
-            counted += 1
-    return counted
 
 
 # -- standard graphs and calibration -------------------------------------------

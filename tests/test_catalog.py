@@ -258,6 +258,31 @@ def test_normalize_twists():
     assert sum(normalize_twists(klein).twists) > 0
 
 
+def test_component_split_and_normalization_over_full_catalogs():
+    # every class, connected or not, with <= 8 half-edges: the split parts
+    # are the class's connected components, in the order the full catalog
+    # composed them, and forest normalization untwists exactly the
+    # orientable classes
+    from mobex.catalog import _component_split, _disjoint_union
+    from mobex.graphs import orientability
+    from mobex.series import iter_monomials
+
+    for key in iter_monomials(8):
+        for entry in enumerate_graphs(list(key), connected_only=False):
+            parts = _component_split(entry.graph)
+            assert _disjoint_union(parts) == entry.graph
+            codes = []
+            for part in parts:
+                assert part.is_connected()
+                code = canonical_code(part)
+                assert code in {e.code for e in enumerate_graphs(list(part.valences()))}
+                codes.append(code)
+            assert b"|".join(sorted(codes)) == entry.code
+            norm = normalize_twists(entry.graph)
+            assert (not any(norm.twists)) == (orientability(entry.graph) == 1)
+            assert topology(norm) == entry.topology
+
+
 def test_budget_error():
     with pytest.raises(BudgetError):
         enumerate_graphs({3: 20})

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mobex import cli
+from mobex import cli, series
 from mobex.graphs import MoebiusGraph, graph_to_json
 
 
@@ -170,3 +170,53 @@ def test_table_and_csv_formats(capsys):
     assert code == 0 and "orientable" in out
     code, out, _ = run_cli(capsys, "graphs", "--profile", "2:1", "--format", "csv")
     assert code == 0 and out.splitlines()[0].startswith("v,e,f")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("tag", series.TAGS)
+def test_expand_output_is_expand_logZ(capsys, tag, threads):
+    beta = {"master": 1, "rescaled": 4}.get(tag)
+    argv = ["expand", "--tag", tag, "--max-degree", "6", "--threads", str(threads)]
+    if beta is not None:
+        argv += ["--beta", str(beta)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    terms = series.expand_logZ(tag, 6, beta).terms
+    assert json.loads(out) == [{"monomial": list(m), "coeff": c.to_json()}
+                               for m, c in terms.items()]
+
+
+def test_expand_negative_degree_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "expand", "--beta", "1", "--max-degree", "-3")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert json.loads(err)["code"] == cli.EXIT_USAGE
+
+
+def test_expand_over_budget_names_half_edges(capsys):
+    code, out, err = run_cli(capsys, "expand", "--beta", "1", "--max-degree", "6",
+                             "--half-edge-budget", "4")
+    assert code == cli.EXIT_BUDGET and out == ""
+    record = json.loads(err)
+    assert record["code"] == cli.EXIT_BUDGET
+    assert "needs 6 half-edges" in record["error"]
+
+
+@pytest.mark.parametrize("name", ["MOBEX_HALF_EDGE_BUDGET", "MOBEX_MU_BUDGET",
+                                  "MOBEX_ORACLE_BUDGET"])
+def test_non_integer_env_budget_is_usage_error(monkeypatch, capsys, name):
+    monkeypatch.setenv(name, "abc")
+    code, out, err = run_cli(capsys, "graphs", "--profile", "2:1")
+    assert code == cli.EXIT_USAGE and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["code"] == cli.EXIT_USAGE and name in record["error"]
+
+
+@pytest.mark.parametrize("twists", ['["false"]', '[0]', '"x"'])
+def test_mu_rejects_non_boolean_twists(tmp_path, capsys, twists):
+    path = tmp_path / "petal.json"
+    path.write_text('{"rotations": [[0, 1]], "edges": [[0, 1]], "twists": %s}' % twists)
+    code, out, err = run_cli(capsys, "mu", "--graph", str(path), "--beta", "2")
+    assert code == cli.EXIT_STRUCTURAL and out == ""
+    assert json.loads(err)["code"] == cli.EXIT_STRUCTURAL

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mobex.errors import UsageError
+from mobex.errors import BudgetError, UsageError
 from mobex.npoly import NPoly
 from mobex.series import (CouplingSeries, apply_duality, expand_logZ, expand_Z,
-                          iter_monomials, rescale_couplings, series_one)
+                          iter_monomials, rescale_couplings, series_one,
+                          tag_monomials)
 
 
 def test_npoly_basics():
@@ -179,3 +180,28 @@ def test_iter_monomials_weighting():
     assert all(sum(m) <= 4 and sum(m) % 2 == 0 for m in monos)
     restricted = list(iter_monomials(6, allowed=lambda j: j >= 3))
     assert all(min(m) >= 3 for m in restricted)
+
+
+def test_expansion_bounds():
+    with pytest.raises(UsageError):
+        expand_logZ("master", -3, beta=1)
+    with pytest.raises(BudgetError, match="needs 6 half-edges, budget is 4"):
+        expand_logZ("master", 6, beta=1, half_edge_budget=4)
+    with pytest.raises(BudgetError, match="needs 6 half-edges"):
+        expand_logZ("invariant", 7, half_edge_budget=5)
+    assert expand_logZ("master", 0, beta=1).terms == {}
+
+
+def test_tag_monomials_coupling_filter():
+    from mobex.oracle import oracle_logZ
+
+    full = tag_monomials("master", 8)
+    assert full == list(iter_monomials(8))
+    no_t2 = tag_monomials("master", 8, include_t2=False)
+    assert no_t2 == [m for m in full if 2 not in m]
+    gse = tag_monomials("gse-penner", 8)
+    assert gse == tag_monomials("master", 8, include_t1=False, include_t2=False)
+    assert gse == [m for m in full if min(m) >= 3]
+    # both routes expand the same monomials
+    assert set(expand_logZ("gse-penner", 8).terms) <= set(gse)
+    assert set(oracle_logZ(4, "gse-penner", 8, 2).terms) <= set(gse)

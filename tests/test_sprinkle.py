@@ -119,3 +119,16 @@ def test_budget_and_preconditions():
         mu_bruteforce(disconnected, 2)
     with pytest.raises(UsageError):
         mu_bruteforce(petal_graph(), 3)
+
+
+def test_mu_report_counts_real_configurations():
+    # one sweep gives both figures; the counts are the assignments whose
+    # vertex products are all real units
+    theta = MoebiusGraph([(0, 1, 2), (3, 4, 5)], [(0, 3), (1, 4), (2, 5)], [False] * 3)
+    for graph, beta, counted in ((petal_graph(), 2, 2), (petal_graph(True), 4, 4),
+                                 (flower_graph(), 1, 1), (theta, 4, 16)):
+        report = mu_report(graph, beta)
+        assert report.configurations_counted == counted
+        assert report.mu_bruteforce == mu_bruteforce(graph, beta) == report.mu_closed
+    with pytest.raises(BudgetError):
+        mu_report(theta, 4, assignment_budget=63)
