@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage error, 3 budget exceeded, 4 verification
-failure, 5 malformed structural input.  All exact output is emitted as
-JSON with rationals rendered "p/q"; --threads never changes a byte.
+failure (its "payload" joins the stderr record), 5 malformed structural
+input, 141 stdout closed.  All exact output is JSON with rationals
+rendered "p/q"; --threads never changes a byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,6 +25,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_VERIFY = 4
 EXIT_STRUCTURAL = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE
+
+_EXIT_CODES = {UsageError: EXIT_USAGE, BudgetError: EXIT_BUDGET, VerificationError: EXIT_VERIFY,
+               StructuralError: EXIT_STRUCTURAL, OSError: EXIT_STRUCTURAL}
 
 
 def _env_budget(name: str, fallback: int) -> int:
@@ -70,6 +76,25 @@ def _parse_profile(text: str) -> dict:
     except ValueError as exc:
         raise UsageError("profile must look like '3:2,4:1'") from exc
     return profile
+
+
+def _jsonable(obj):
+    """A JSON-safe rendering of a failure payload; never raises."""
+    try:
+        if obj is None or isinstance(obj, (bool, int, str)):
+            return obj
+        if isinstance(obj, bytes):
+            return obj.decode(errors="replace")
+        if dataclasses.is_dataclass(obj):
+            obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        if isinstance(obj, dict):
+            pairs = [(_jsonable(k), _jsonable(v)) for k, v in obj.items()]
+            return {k if isinstance(k, str) else json.dumps(k): v for k, v in pairs}
+        if isinstance(obj, (list, tuple)):
+            return [_jsonable(x) for x in obj]
+        return str(obj)  # Fraction as "p/q"; floats, NaN included, as text
+    except Exception:  # a payload must never mask the failure it reports
+        return "<unrenderable %s>" % type(obj).__name__
 
 
 def _emit(data, fmt: str, table_rows=None) -> None:
@@ -412,23 +437,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _make_config(args)
-        return run(config)
-    except UsageError as exc:
-        print(json.dumps({"error": str(exc), "code": EXIT_USAGE}), file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetError as exc:
-        print(json.dumps({"error": str(exc), "code": EXIT_BUDGET}), file=sys.stderr)
-        return EXIT_BUDGET
-    except VerificationError as exc:
-        print(json.dumps({"error": str(exc), "code": EXIT_VERIFY}), file=sys.stderr)
-        return EXIT_VERIFY
-    except StructuralError as exc:
-        print(json.dumps({"error": str(exc), "code": EXIT_STRUCTURAL}), file=sys.stderr)
-        return EXIT_STRUCTURAL
-    except OSError as exc:
-        print(json.dumps({"error": str(exc), "code": EXIT_STRUCTURAL}), file=sys.stderr)
-        return EXIT_STRUCTURAL
+        code = run(_make_config(args))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away: keep the exit-time flush off the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(json.dumps({"error": "stdout closed", "code": EXIT_PIPE}), file=sys.stderr)
+        return EXIT_PIPE
+    except tuple(_EXIT_CODES) as exc:
+        code = next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
+        record = {"error": str(exc), "code": code}
+        if isinstance(exc, VerificationError):
+            record["payload"] = _jsonable(exc.payload)
+        print(json.dumps(record), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

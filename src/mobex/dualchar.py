@@ -185,6 +185,8 @@ def _ppoly_mul(p: PPoly, q: PPoly) -> PPoly:
             acc = out.get(key, Fraction(0)) + c1 * c2
             if acc:
                 out[key] = acc
+            else:
+                out.pop(key, None)
     return out
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mobex import cli, series
+from mobex.dualchar import CharpolyReport
 from mobex.graphs import MoebiusGraph, graph_to_json
 
 
@@ -150,9 +156,47 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
         return out
 
     monkeypatch.setattr(cli.series, "apply_duality", corrupt)
-    code, _, err = run_cli(capsys, "duality", "--alpha", "2", "--max-degree", "4")
+    code, out, err = run_cli(capsys, "duality", "--alpha", "2", "--max-degree", "4")
     assert code == cli.EXIT_VERIFY
-    assert json.loads(err)["code"] == cli.EXIT_VERIFY
+    record = json.loads(err)
+    assert record["code"] == cli.EXIT_VERIFY
+    assert record["payload"] == json.loads(out)
+    assert record["payload"]["self_dual_graph_by_graph"] is False
+
+
+def test_oracle_mismatch_prints_its_report(monkeypatch, capsys):
+    real = cli.oracle_mod.eigenvalue_moment
+    monkeypatch.setattr(cli.oracle_mod, "eigenvalue_moment", lambda q: real(q) + 1)
+    code, out, err = run_cli(capsys, "oracle", "--beta", "1", "--n", "2",
+                             "--max-degree", "2")
+    assert code == cli.EXIT_VERIFY and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])["payload"]
+    assert payload["monomial"] == [1, 1] and payload["equal"] is False
+    assert (payload["beta"], payload["n"], payload["tag"]) == (1, 2, "master")
+    assert Fraction(payload["exact"]) != Fraction(payload["predicted"])
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("no")
+
+    __repr__ = __str__
+
+
+def test_payload_rendering_never_raises():
+    report = CharpolyReport(which="BHC", n=1, k=1, lhs=(((1,), Fraction(1, 2)),),
+                            rhs=(), equal=False)
+    payload = {"report": report, "im": {(0, 2): Fraction(-1, 3)}, "raw": b"ab\xff",
+               "x": float("nan"), "odd": _Unprintable()}
+    rendered = cli._jsonable(payload)
+    json.dumps(rendered, allow_nan=False)
+    assert rendered["report"] == {"which": "BHC", "n": 1, "k": 1, "lhs": [[[1], "1/2"]],
+                                  "rhs": [], "equal": False}
+    assert rendered["im"] == {"[0, 2]": "-1/3"}
+    assert rendered["raw"] == "ab\ufffd" and rendered["x"] == "nan"
+    assert rendered["odd"] == "<unrenderable _Unprintable>"
 
 
 def test_env_budget_override(monkeypatch, capsys):
@@ -218,5 +262,45 @@ def test_mu_rejects_non_boolean_twists(tmp_path, capsys, twists):
     path = tmp_path / "petal.json"
     path.write_text('{"rotations": [[0, 1]], "edges": [[0, 1]], "twists": %s}' % twists)
     code, out, err = run_cli(capsys, "mu", "--graph", str(path), "--beta", "2")
+    assert code == cli.EXIT_STRUCTURAL and out == ""
+    assert json.loads(err)["code"] == cli.EXIT_STRUCTURAL
+
+
+@pytest.mark.parametrize("samples", ["0", "1", "-1"])
+def test_mc_needs_two_samples(capsys, samples):
+    code, out, err = run_cli(capsys, "oracle", "mc", "--beta", "1", "--n", "2",
+                             "--samples", samples)
+    assert code == cli.EXIT_USAGE and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("bad", ["--n=0", "--n=-1", "--scale=0", "--scale=-1/4",
+                                 "--powers=0"])
+def test_mc_rejects_out_of_range_inputs(capsys, bad):
+    code, out, err = run_cli(capsys, "oracle", "mc", "--beta", "1", "--n", "2",
+                             "--samples", "10", bad)
+    assert code == cli.EXIT_USAGE and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == cli.EXIT_USAGE
+
+
+def test_closed_stdout_pipe_exits_141():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mobex", "graphs", "--profile", "2:1"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_PIPE == 141
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == cli.EXIT_PIPE
+
+
+def test_missing_input_file_is_structural(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "mu", "--graph", str(tmp_path / "none.json"),
+                             "--beta", "1")
     assert code == cli.EXIT_STRUCTURAL and out == ""
     assert json.loads(err)["code"] == cli.EXIT_STRUCTURAL

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mobex.catalog import canonical_code, enumerate_graphs
-from mobex.dualchar import (charpoly_lhs, charpoly_rhs, charpoly_sides_by_edges,
+from mobex.dualchar import (_ppoly_mul, charpoly_lhs, charpoly_rhs, charpoly_sides_by_edges,
                             poincare_dual, verify_polynomial_identity)
 from mobex.errors import UsageError
 from mobex.graphs import MoebiusGraph, topology
@@ -122,3 +122,10 @@ def test_verify_argument_guards():
         verify_polynomial_identity(0, 1, "BHC")
     with pytest.raises(UsageError):
         verify_polynomial_identity(3, 2, "BHQ")  # odd N at k=2
+
+
+def test_ppoly_mul_drops_cancelled_terms():
+    # (p1 + p2)(p2 - p1) = p2**2 - p1**2: the p1 p2 terms cancel exactly
+    product = _ppoly_mul({(1,): Fraction(1), (2,): Fraction(1)},
+                         {(2,): Fraction(1), (1,): Fraction(-1)})
+    assert product == {(2, 2): Fraction(1), (1, 1): Fraction(-1)}

@@ -1,10 +1,17 @@
+import json
 from fractions import Fraction
+from math import factorial
+from pathlib import Path
 
 import pytest
 
 from mobex.errors import BudgetError, UsageError
-from mobex.oracle import (MomentQuery, eigenvalue_moment, isserlis_trace_moment,
+from mobex.npoly import NPoly
+from mobex.oracle import (MomentQuery, _loop_moment, eigenvalue_moment, isserlis_trace_moment,
                           mc_estimate, oracle_compare, oracle_logZ)
+from mobex.series import CouplingSeries, expand_logZ, tag_monomials
+
+GOLDEN_MOMENTS = Path(__file__).with_name("golden_eigenvalue_moments.json")
 
 QUARTER = Fraction(1, 4)
 HALF = Fraction(1, 2)
@@ -34,10 +41,35 @@ def test_odd_moments_vanish():
     assert eigenvalue_moment(MomentQuery(2, 2, (1,), HALF)) == 0
 
 
+def test_eigenvalue_moment_matches_golden_table():
+    # values of the earlier Vandermonde-power / chamber-Pfaffian routes:
+    # beta 1, 2, 4; N <= 4; scales 1/4, 1/2; every monomial of degree <= 8
+    entries = json.loads(GOLDEN_MOMENTS.read_text())["entries"]
+    assert len(entries) == 3 * 4 * 2 * 67
+    for e in entries:
+        query = MomentQuery(e["beta"], e["n"], tuple(e["powers"]), Fraction(e["scale"]))
+        assert eigenvalue_moment(query) == Fraction(e["moment"]), e
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_loop_equation_logZ_is_the_graph_sum_in_N(beta):
+    # log Z of the master normalization (g_j = 1/(2j), c = 1/4), symbolic in N
+    degree = 8
+    z = CouplingSeries(degree, {(): NPoly.const(1)})
+    for monomial in tag_monomials("master", degree):
+        coeff = Fraction(1)
+        for j in set(monomial):
+            m = monomial.count(j)
+            coeff *= Fraction(1, 2 * j) ** m / factorial(m)
+        z.set_coefficient(monomial, _loop_moment(beta, Fraction(1, 4), monomial) * coeff)
+    assert z.log() == expand_logZ("master", degree, beta=beta)
+
+
 def test_two_independent_goe_oracles_agree():
-    # chamber-Pfaffian eigenvalue route vs entry-level Wick pairing
-    for n in (1, 2):
-        for powers in ((2,), (1, 1), (4,), (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1)):
+    # loop-equation eigenvalue route vs entry-level Wick pairing
+    for n in (1, 2, 3, 4):
+        for powers in ((2,), (1, 1), (4,), (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1),
+                       (6,), (3, 3), (2, 2, 2)):
             a = eigenvalue_moment(MomentQuery(1, n, powers, QUARTER))
             b = isserlis_trace_moment(n, powers, QUARTER)
             assert a == b, (n, powers)
