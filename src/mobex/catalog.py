@@ -310,9 +310,10 @@ def _matchings(items: List[int]) -> Iterator[List[Tuple[int, int]]]:
 
 
 def _check_budget(key: ProfileKey, budget: int) -> None:
-    if sum(key) > budget:
-        raise BudgetError("profile %s needs %d half-edges, budget is %d"
-                          % (profile_dict(key), sum(key), budget))
+    n = sum(key)
+    if n > budget:
+        raise BudgetError("profile %s needs %d half-edges (%d matchings), budget is %d"
+                          % (profile_dict(key), n, prod(range(n - 1, 0, -2)), budget))
 
 
 def _connected_matchings(rotations, vertex_of):

@@ -13,7 +13,7 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
@@ -31,33 +31,31 @@ _EXIT_CODES = {UsageError: EXIT_USAGE, BudgetError: EXIT_BUDGET, VerificationErr
                StructuralError: EXIT_STRUCTURAL, OSError: EXIT_STRUCTURAL}
 
 
-def _env_budget(name: str, fallback: int) -> int:
+def _budget(flag: Optional[int], name: str, fallback: int) -> int:
+    """The flag wins over the environment variable, which wins over the fallback.
+
+    The variable is read even under a flag, so a malformed one always fails.
+    """
     text = os.environ.get(name)
-    if text is None:
-        return fallback
     try:
-        return int(text)
+        value = fallback if text is None else int(text)
     except ValueError as exc:
         raise UsageError("%s must be an integer, got %r" % (name, text)) from exc
+    return value if flag is None else flag
 
 
 @dataclass
 class Budgets:
-    half_edges: int = field(default_factory=lambda: _env_budget(
-        "MOBEX_HALF_EDGE_BUDGET", catalog.HALF_EDGE_BUDGET))
-    mu_assignments: int = field(default_factory=lambda: _env_budget(
-        "MOBEX_MU_BUDGET", sprinkle.MU_ASSIGNMENT_BUDGET))
-    oracle_degree: int = field(default_factory=lambda: _env_budget(
-        "MOBEX_ORACLE_BUDGET", oracle_mod.ORACLE_DEGREE_BUDGET))
+    half_edges: int
+    mu_assignments: int
+    oracle_degree: int
 
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    format: str = "json"
-    threads: int = 1
-    budgets: Budgets = field(default_factory=Budgets)
-    options: dict = field(default_factory=dict)
+    @staticmethod
+    def from_args(args: argparse.Namespace) -> "Budgets":
+        return Budgets(
+            _budget(args.half_edge_budget, "MOBEX_HALF_EDGE_BUDGET", catalog.HALF_EDGE_BUDGET),
+            _budget(args.mu_budget, "MOBEX_MU_BUDGET", sprinkle.MU_ASSIGNMENT_BUDGET),
+            _budget(args.oracle_budget, "MOBEX_ORACLE_BUDGET", oracle_mod.ORACLE_DEGREE_BUDGET))
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -128,11 +126,10 @@ def _topology_json(topo) -> dict:
 
 # -- subcommands -------------------------------------------------------------------
 
-def _cmd_graphs(config: RunConfig) -> int:
-    opts = config.options
+def _cmd_graphs(args: argparse.Namespace, budgets: Budgets) -> int:
     entries = catalog.enumerate_graphs(
-        _parse_profile(opts["profile"]), connected_only=opts["connected"],
-        half_edge_budget=config.budgets.half_edges)
+        _parse_profile(args.profile), connected_only=args.connected,
+        half_edge_budget=budgets.half_edges)
     data = []
     rows = []
     for entry in entries:
@@ -150,31 +147,26 @@ def _cmd_graphs(config: RunConfig) -> int:
         rows.append([topo.v, topo.e, topo.f, topo.chi,
                      "yes" if topo.natural == 1 else "no",
                      entry.aut_moebius, entry.aut_ribbon or "-"])
-    _emit(data, config.format,
+    _emit(data, args.format,
           (["v", "e", "f", "chi", "orientable", "aut", "aut_ribbon"], rows))
     return 0
 
 
-def _cmd_expand(config: RunConfig) -> int:
-    opts = config.options
-    logz = series.expand_logZ(opts["tag"], opts["degree"], opts["beta"],
-                              opts["t1"], opts["t2"],
-                              half_edge_budget=config.budgets.half_edges,
-                              threads=config.threads)
+def _cmd_expand(args: argparse.Namespace, budgets: Budgets) -> int:
+    logz = series.expand_logZ(args.tag, args.max_degree, args.beta, args.t1, args.t2,
+                              half_edge_budget=budgets.half_edges, threads=args.threads)
     # expansion order, as the monomials are generated, not sorted
     data = [{"monomial": list(m), "coeff": c.to_json()} for m, c in logz.terms.items()]
     rows = [[" ".join("t%d" % j for j in rec["monomial"]),
              json.dumps(rec["coeff"], sort_keys=True)] for rec in data]
-    _emit(data, config.format, (["monomial", "coefficient"], rows))
+    _emit(data, args.format, (["monomial", "coefficient"], rows))
     return 0
 
 
-def _cmd_mu(config: RunConfig) -> int:
-    opts = config.options
-    with open(opts["graph"]) as handle:
+def _cmd_mu(args: argparse.Namespace, budgets: Budgets) -> int:
+    with open(args.graph) as handle:
         graph = graph_from_json(handle.read())
-    report = sprinkle.mu_report(graph, opts["beta"],
-                                assignment_budget=config.budgets.mu_assignments)
+    report = sprinkle.mu_report(graph, args.beta, assignment_budget=budgets.mu_assignments)
     data = {
         "graph_id": report.graph_id,
         "beta": report.beta,
@@ -184,117 +176,100 @@ def _cmd_mu(config: RunConfig) -> int:
         "topology": _topology_json(topology(graph)),
         "agree": report.mu_bruteforce == report.mu_closed,
     }
-    _emit(data, config.format)
+    _emit(data, args.format)
     if report.mu_bruteforce != report.mu_closed:
         raise VerificationError("mu bruteforce disagrees with the closed form",
                                 payload=data)
     return 0
 
 
-def _cmd_oracle(config: RunConfig) -> int:
-    opts = config.options
-    if opts.get("mc"):
-        powers = tuple(int(x) for x in opts["powers"].split(","))
-        mean, err = oracle_mod.mc_estimate(opts["beta"], opts["n"], powers,
-                                           opts["samples"], opts["seed"],
-                                           scale=opts["scale"])
-        _emit({"mean": mean, "stderr": err, "beta": opts["beta"], "n": opts["n"],
-               "powers": list(powers), "samples": opts["samples"],
-               "seed": opts["seed"], "scale": str(opts["scale"])}, config.format)
+def _cmd_oracle(args: argparse.Namespace, budgets: Budgets) -> int:
+    scale = _parse_fraction(args.scale)
+    if args.mode == "mc":
+        powers = tuple(int(x) for x in args.powers.split(","))
+        mean, err = oracle_mod.mc_estimate(args.beta, args.n, powers, args.samples,
+                                           args.seed, scale=scale)
+        _emit({"mean": mean, "stderr": err, "beta": args.beta, "n": args.n,
+               "powers": list(powers), "samples": args.samples,
+               "seed": args.seed, "scale": str(scale)}, args.format)
         return 0
-    reports = oracle_mod.oracle_compare(
-        opts["beta"], opts["tag"], opts["degree"], [opts["n"]],
-        budget=config.budgets.oracle_degree)
+    reports = oracle_mod.oracle_compare(args.beta, args.tag, args.max_degree, [args.n],
+                                        budget=budgets.oracle_degree)
     data = [{"monomial": list(r.monomial), "n": r.n,
              "graph_sum": str(r.predicted), "oracle": str(r.exact),
              "equal": r.equal} for r in reports]
     rows = [[" ".join("t%d" % j for j in r.monomial), r.n,
              str(r.predicted), str(r.exact), r.equal] for r in reports]
-    _emit(data, config.format, (["monomial", "n", "graph_sum", "oracle", "equal"], rows))
+    _emit(data, args.format, (["monomial", "n", "graph_sum", "oracle", "equal"], rows))
     return 0
 
 
-def _cmd_penner(config: RunConfig) -> int:
-    opts = config.options
-    if opts.get("euler"):
-        value = penner.real_moduli_euler(opts["q"], opts["n"])
-        _emit({"q": opts["q"], "n": opts["n"], "euler_characteristic": str(value)},
-              config.format)
+def _cmd_penner(args: argparse.Namespace, budgets: Budgets) -> int:
+    if args.mode == "euler":
+        value = penner.real_moduli_euler(args.q, args.n)
+        _emit({"q": args.q, "n": args.n, "euler_characteristic": str(value)}, args.format)
         return 0
-    model = opts["model"]
-    order = opts["order"]
-    if model == "K":
-        zs = penner.K_series(order, opts["alpha"])
-    elif model == "J":
-        zs = penner.J_series(order, opts["gamma"])
-    elif model == "I":
-        zs = penner.I_series(order, _parse_fraction(opts["r"]))
+    if args.model == "K":
+        zs = penner.K_series(args.order, args.alpha)
+    elif args.model == "J":
+        zs = penner.J_series(args.order, args.gamma)
     else:
-        raise UsageError("model must be K, J or I")
-    _emit(zs.to_json(), config.format,
+        zs = penner.I_series(args.order, _parse_fraction(args.r))
+    _emit(zs.to_json(), args.format,
           (["z^m", "coefficient"],
            [["z^%d" % m, json.dumps(zs.coeffs[m].to_json(), sort_keys=True)]
             for m in sorted(zs.coeffs)]))
     return 0
 
 
-def _cmd_charpoly(config: RunConfig) -> int:
-    opts = config.options
-    if opts.get("verify"):
-        report = dualchar.verify_polynomial_identity(opts["N"], opts["k"], opts["which"])
+def _cmd_charpoly(args: argparse.Namespace, budgets: Budgets) -> int:
+    if args.mode == "verify":
+        report = dualchar.verify_polynomial_identity(args.N, args.k, args.which)
         _emit({"which": report.which, "N": report.n, "k": report.k,
                "equal": report.equal,
                "lhs": [[list(key), str(val)] for key, val in report.lhs],
                "rhs": [[list(key), str(val)] for key, val in report.rhs]},
-              config.format)
+              args.format)
         return 0
-    side, ensemble = opts["side"], opts["ensemble"]
-    if side == "lhs":
-        lam = dualchar.charpoly_lhs(ensemble, opts["degree"],
-                                    half_edge_budget=config.budgets.half_edges)
-    else:
-        lam = dualchar.charpoly_rhs(ensemble, opts["degree"],
-                                    half_edge_budget=config.budgets.half_edges)
-    _emit(lam.to_json(), config.format,
+    side = dualchar.charpoly_lhs if args.side == "lhs" else dualchar.charpoly_rhs
+    lam = side(args.ensemble, args.max_degree, half_edge_budget=budgets.half_edges)
+    _emit(lam.to_json(), args.format,
           (["monomial", "coefficient"],
            [[" ".join("tau%d" % j for j in key), json.dumps(val.to_json(), sort_keys=True)]
             for key, val in sorted(lam.terms.items())]))
     return 0
 
 
-def _cmd_clt(config: RunConfig) -> int:
-    opts = config.options
-    result = clt_mod.clt_limit(opts["alpha"], opts["jmax"],
-                               half_edge_budget=config.budgets.half_edges)
+def _cmd_clt(args: argparse.Namespace, budgets: Budgets) -> int:
+    alpha = _parse_fraction(args.alpha)
+    result = clt_mod.clt_limit(alpha, args.jmax, half_edge_budget=budgets.half_edges)
     data = {"alpha": str(result.alpha),
             "quadratic_form": [[list(pair), str(val)]
                                for pair, val in result.quadratic_form]}
-    if opts["verify"]:
-        report = clt_mod.verify_clt(opts["alpha"], opts["jmax"], opts["degree"],
-                                    half_edge_budget=config.budgets.half_edges)
+    if args.verify:
+        report = clt_mod.verify_clt(alpha, args.jmax, args.max_degree,
+                                    half_edge_budget=budgets.half_edges)
         data["verified"] = report.equal
         data["matched_pairs"] = report.matched
-    _emit(data, config.format,
+    _emit(data, args.format,
           (["j1 j2", "coefficient"],
            [["%d %d" % pair, str(val)] for pair, val in result.quadratic_form]))
     return 0
 
 
-def _cmd_duality(config: RunConfig) -> int:
-    opts = config.options
-    inv = series.expand_logZ("invariant", opts["degree"],
-                             half_edge_budget=config.budgets.half_edges)
+def _cmd_duality(args: argparse.Namespace, budgets: Budgets) -> int:
+    alpha = _parse_fraction(args.alpha)
+    inv = series.expand_logZ("invariant", args.max_degree, half_edge_budget=budgets.half_edges)
     dual = series.apply_duality(inv)
     involution = series.apply_duality(dual) == inv
     pointwise = dual == inv
-    alpha = opts["alpha"]
     reduced_equal = dual.reduce_root(alpha) == inv.reduce_root(alpha)
-    data = {"alpha": str(alpha), "degree": opts["degree"],
+    data = {"alpha": str(alpha), "degree": args.max_degree,
             "involution_holds": involution,
             "self_dual_graph_by_graph": pointwise,
             "reduced_at_alpha_equal": reduced_equal,
             "monomials": len(inv.terms)}
-    _emit(data, config.format)
+    _emit(data, args.format)
     if not (involution and pointwise and reduced_equal):
         raise VerificationError("duality check failed", payload=data)
     return 0
@@ -390,54 +365,11 @@ _DISPATCH = {
 }
 
 
-def _make_config(args: argparse.Namespace) -> RunConfig:
-    budgets = Budgets()
-    if args.half_edge_budget is not None:
-        budgets.half_edges = args.half_edge_budget
-    if args.mu_budget is not None:
-        budgets.mu_assignments = args.mu_budget
-    if args.oracle_budget is not None:
-        budgets.oracle_degree = args.oracle_budget
-
-    options = {}
-    if args.subcommand == "graphs":
-        options = {"profile": args.profile, "connected": args.connected}
-    elif args.subcommand == "expand":
-        options = {"beta": args.beta, "tag": args.tag, "degree": args.max_degree,
-                   "t1": args.t1, "t2": args.t2}
-    elif args.subcommand == "mu":
-        options = {"graph": args.graph, "beta": args.beta}
-    elif args.subcommand == "oracle":
-        options = {"mc": args.mode == "mc", "beta": args.beta, "n": args.n,
-                   "tag": args.tag, "degree": args.max_degree,
-                   "powers": args.powers, "samples": args.samples,
-                   "seed": args.seed, "scale": _parse_fraction(args.scale)}
-    elif args.subcommand == "penner":
-        options = {"euler": args.mode == "euler", "model": args.model,
-                   "alpha": args.alpha, "gamma": args.gamma, "r": args.r,
-                   "order": args.order, "q": args.q, "n": args.n}
-    elif args.subcommand == "charpoly":
-        options = {"verify": args.mode == "verify", "ensemble": args.ensemble,
-                   "side": args.side, "degree": args.max_degree,
-                   "which": args.which, "N": args.N, "k": args.k}
-    elif args.subcommand == "clt":
-        options = {"alpha": _parse_fraction(args.alpha), "jmax": args.jmax,
-                   "verify": args.verify, "degree": args.max_degree}
-    elif args.subcommand == "duality":
-        options = {"alpha": _parse_fraction(args.alpha), "degree": args.max_degree}
-    return RunConfig(subcommand=args.subcommand, format=args.format,
-                     threads=args.threads, budgets=budgets, options=options)
-
-
-def run(config: RunConfig) -> int:
-    return _DISPATCH[config.subcommand](config)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = run(_make_config(args))
+        code = _DISPATCH[args.subcommand](args, Budgets.from_args(args))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

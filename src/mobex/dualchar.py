@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 from .catalog import HALF_EDGE_BUDGET, enumerate_graphs, ribbon_classes
 from .errors import UsageError, VerificationError
 from .graphs import MoebiusGraph
-from .npoly import NPoly
+from .npoly import NPoly, add_term, mul_terms
 from .oracle import MomentQuery, eigenvalue_moment
 from .series import CouplingSeries, iter_monomials
 
@@ -111,21 +111,17 @@ def charpoly_lhs(ensemble: str, degree: int,
     if ensemble == "gue":
         for profile in iter_monomials(degree):
             for code, aut, topo in ribbon_classes(profile, half_edge_budget):
-                weight = NPoly.monomial(topo.f - topo.e, 0,
-                                        Fraction((-1) ** topo.v, aut))
-                key = profile
-                series.terms[key] = series.terms.get(key, NPoly.zero()) + weight
+                add_term(series.terms, profile, NPoly.monomial(
+                    topo.f - topo.e, 0, Fraction((-1) ** topo.v, aut)))
     elif ensemble == "goe":
         for profile in iter_monomials(degree):
             for entry in enumerate_graphs(list(profile), half_edge_budget=half_edge_budget):
                 topo = entry.topology
                 coeff = (Fraction((-1) ** topo.v) * Fraction(2) ** (topo.v - topo.e)
                          / entry.aut_moebius)
-                weight = NPoly.monomial(topo.f - topo.e, 0, coeff)
-                series.terms[profile] = series.terms.get(profile, NPoly.zero()) + weight
+                add_term(series.terms, profile, NPoly.monomial(topo.f - topo.e, 0, coeff))
     else:
         raise UsageError("lhs ensembles: gue, goe")
-    series.terms = {k: v for k, v in series.terms.items() if v}
     return series
 
 
@@ -136,22 +132,18 @@ def charpoly_rhs(ensemble: str, degree: int,
     if ensemble == "gue":
         for profile in iter_monomials(degree):
             for code, aut, topo in ribbon_classes(profile, half_edge_budget):
-                key = _profile_monomial(topo.f_profile)
-                weight = NPoly.monomial(topo.v - topo.e, 0,
-                                        Fraction((-1) ** topo.f, aut))
-                series.terms[key] = series.terms.get(key, NPoly.zero()) + weight
+                add_term(series.terms, _profile_monomial(topo.f_profile), NPoly.monomial(
+                    topo.v - topo.e, 0, Fraction((-1) ** topo.f, aut)))
     elif ensemble == "gse":
         for profile in iter_monomials(degree):
             for entry in enumerate_graphs(list(profile), half_edge_budget=half_edge_budget):
                 topo = entry.topology
-                key = _profile_monomial(topo.f_profile)
                 coeff = (Fraction((-1) ** topo.f) * Fraction(2) ** (topo.f - topo.e)
                          / entry.aut_moebius)
-                weight = NPoly.monomial(topo.v - topo.e, 0, coeff)
-                series.terms[key] = series.terms.get(key, NPoly.zero()) + weight
+                add_term(series.terms, _profile_monomial(topo.f_profile),
+                         NPoly.monomial(topo.v - topo.e, 0, coeff))
     else:
         raise UsageError("rhs ensembles: gue, gse")
-    series.terms = {k: v for k, v in series.terms.items() if v}
     return series
 
 
@@ -177,17 +169,9 @@ def charpoly_sides_by_edges(pair: str, edges: int,
 PPoly = Dict[Tuple[int, ...], Fraction]
 
 
-def _ppoly_mul(p: PPoly, q: PPoly) -> PPoly:
-    out: PPoly = {}
-    for k1, c1 in p.items():
-        for k2, c2 in q.items():
-            key = tuple(sorted(k1 + k2))
-            acc = out.get(key, Fraction(0)) + c1 * c2
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-    return out
+def _merge(k1: Tuple[int, ...], k2: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The product of two power-sum monomials: their sorted multiset union."""
+    return tuple(sorted(k1 + k2))
 
 
 @lru_cache(maxsize=None)
@@ -197,14 +181,8 @@ def _elementary_in_powersums(m: int) -> Tuple[Tuple[Tuple[int, ...], Fraction], 
         return ((tuple(), Fraction(1)),)
     total: PPoly = {}
     for i in range(1, m + 1):
-        prev = dict(_elementary_in_powersums(m - i))
-        term = _ppoly_mul(prev, {(i,): Fraction((-1) ** (i - 1), m)})
-        for key, val in term.items():
-            acc = total.get(key, Fraction(0)) + val
-            if acc:
-                total[key] = acc
-            else:
-                total.pop(key, None)
+        for key, coeff in _elementary_in_powersums(m - i):
+            add_term(total, _merge(key, (i,)), coeff * Fraction((-1) ** (i - 1), m))
     return tuple(total.items())
 
 
@@ -225,18 +203,11 @@ def _charpoly_matrix_side(beta: int, n_size: int, k: int, scale: Fraction
 
     def rec(pos: int, exps: List[int], ppoly: PPoly, sign: int):
         if pos == k:
-            value = _expect_ppoly(ppoly, beta, n_size, scale) * sign
-            if value:
-                key = tuple(exps)
-                acc = out.get(key, Fraction(0)) + value
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+            add_term(out, tuple(exps), _expect_ppoly(ppoly, beta, n_size, scale) * sign)
             return
         for m in range(n_size + 1):
             rec(pos + 1, exps + [n_size - m],
-                _ppoly_mul(ppoly, dict(_elementary_in_powersums(m))),
+                mul_terms(ppoly, dict(_elementary_in_powersums(m)), _merge),
                 sign * (-1) ** m)
 
     rec(0, [], {(): Fraction(1)}, 1)
@@ -244,52 +215,36 @@ def _charpoly_matrix_side(beta: int, n_size: int, k: int, scale: Fraction
 
 
 # complex polynomials in real Gaussian variables plus lambda symbols:
-# {exponent tuple: (re, im)}; the first k slots are lambdas.
-CPoly = Dict[Tuple[int, ...], Tuple[Fraction, Fraction]]
+# {exponent tuple: Fraction}.  Slot 0 is the power of i, left unreduced so
+# that products need only add exponents; the next k slots are the lambdas
+# and the rest the Gaussian variables.  i is reduced (i**2 = -1) only when
+# the Gaussian variables are integrated out.
+CPoly = Dict[Tuple[int, ...], Fraction]
 
 
-def _cpoly_var(idx: int, nvars: int) -> CPoly:
-    key = tuple(1 if t == idx else 0 for t in range(nvars))
-    return {key: (Fraction(1), Fraction(0))}
+def _add_exps(e1: Tuple[int, ...], e2: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(x + y for x, y in zip(e1, e2))
 
 
-def _cpoly_add(p: CPoly, q: CPoly) -> CPoly:
-    out = dict(p)
-    for key, (re, im) in q.items():
-        r0, i0 = out.get(key, (Fraction(0), Fraction(0)))
-        r0, i0 = r0 + re, i0 + im
-        if r0 or i0:
-            out[key] = (r0, i0)
-        else:
-            out.pop(key, None)
-    return out
+def _cpoly_vars(nslots: int) -> List[CPoly]:
+    """i and the variables: the monomials with a single exponent 1."""
+    return [{tuple(int(t == idx) for t in range(nslots)): Fraction(1)}
+            for idx in range(nslots)]
 
 
-def _cpoly_scale(p: CPoly, z: Tuple[Fraction, Fraction]) -> CPoly:
-    return {key: (re * z[0] - im * z[1], re * z[1] + im * z[0])
-            for key, (re, im) in p.items()}
-
-
-def _cpoly_mul(p: CPoly, q: CPoly) -> CPoly:
+def _cpoly_sum(*polys: CPoly) -> CPoly:
     out: CPoly = {}
-    for e1, (a1, b1) in p.items():
-        for e2, (a2, b2) in q.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
-            re, im = out.get(key, (Fraction(0), Fraction(0)))
-            re += a1 * a2 - b1 * b2
-            im += a1 * b2 + b1 * a2
-            if re or im:
-                out[key] = (re, im)
-            else:
-                out.pop(key, None)
+    for poly in polys:
+        for key, coeff in poly.items():
+            add_term(out, key, coeff)
     return out
 
 
-def _cpoly_pow(p: CPoly, exponent: int, nvars: int) -> CPoly:
-    result: CPoly = {tuple([0] * nvars): (Fraction(1), Fraction(0))}
-    for _ in range(exponent):
-        result = _cpoly_mul(result, p)
-    return result
+def _cpoly_prod(*polys: CPoly) -> CPoly:
+    out = polys[0]
+    for poly in polys[1:]:
+        out = mul_terms(out, poly, _add_exps)
+    return out
 
 
 def _gauss_expect_cpoly(poly: CPoly, k: int, variances: Sequence[Fraction]
@@ -297,42 +252,36 @@ def _gauss_expect_cpoly(poly: CPoly, k: int, variances: Sequence[Fraction]
     """Integrate out the Gaussian variables; imaginary parts must cancel."""
     out: Dict[Tuple[int, ...], Fraction] = {}
     acc_im: Dict[Tuple[int, ...], Fraction] = {}
-    for exps, (re, im) in poly.items():
-        lam = exps[:k]
-        weight = Fraction(1)
-        for d, var in zip(exps[k:], variances):
+    for exps, coeff in poly.items():
+        i_power, lam = exps[0], exps[1:k + 1]
+        weight = Fraction(1 if i_power % 4 < 2 else -1)  # i**i_power = weight or weight*i
+        for d, var in zip(exps[k + 1:], variances):
             if d % 2:
-                weight = Fraction(0)
                 break
             m = d // 2
             weight *= Fraction(factorial(d), factorial(m) * 2 ** m) * var ** m
-        if not weight:
-            continue
-        out[lam] = out.get(lam, Fraction(0)) + re * weight
-        acc_im[lam] = acc_im.get(lam, Fraction(0)) + im * weight
-    if any(acc_im.values()):
+        else:
+            add_term(acc_im if i_power % 2 else out, lam, coeff * weight)
+    if acc_im:
         raise VerificationError("dual-side expectation is not real", payload=acc_im)
-    return {key: val for key, val in out.items() if val}
+    return out
 
 
 def _bhc_dual_side(n_size: int, k: int) -> Dict[Tuple[int, ...], Fraction]:
     """E[det**N (Lambda - i Y)] over k x k GUE with weight exp(-N/2 tr Y^2)."""
     if k == 1:
-        nvars = 2  # lambda1, y
-        det: CPoly = {(1, 0): (Fraction(1), Fraction(0)),
-                      (0, 1): (Fraction(0), Fraction(-1))}
-        poly = _cpoly_pow(det, n_size, nvars)
+        _, l1, y = _cpoly_vars(3)  # slots: i, lambda, y
+        det = _cpoly_sum(l1, _cpoly_prod({(1, 0, 0): Fraction(-1)}, y))  # lambda - i y
+        poly = _cpoly_prod(*[det] * n_size)
         return _gauss_expect_cpoly(poly, 1, [Fraction(1, n_size)])
     if k == 2:
-        # vars: lambda1, lambda2, y11, y22, re y12, im y12
-        nvars = 6
-        l1, l2, y11, y22, a, b = (_cpoly_var(i, nvars) for i in range(6))
-        mi = (Fraction(0), Fraction(-1))
-        diag1 = _cpoly_add(l1, _cpoly_scale(y11, mi))
-        diag2 = _cpoly_add(l2, _cpoly_scale(y22, mi))
-        offsq = _cpoly_add(_cpoly_mul(a, a), _cpoly_mul(b, b))  # Y12 Y21 = a^2 + b^2
-        det = _cpoly_add(_cpoly_mul(diag1, diag2), offsq)
-        poly = _cpoly_pow(det, n_size, nvars)
+        _, l1, l2, y11, y22, a, b = _cpoly_vars(7)  # a, b = re y12, im y12
+        minus_i = {(1,) + (0,) * 6: Fraction(-1)}
+        diag1 = _cpoly_sum(l1, _cpoly_prod(minus_i, y11))
+        diag2 = _cpoly_sum(l2, _cpoly_prod(minus_i, y22))
+        offsq = _cpoly_sum(_cpoly_prod(a, a), _cpoly_prod(b, b))  # Y12 Y21 = a^2 + b^2
+        det = _cpoly_sum(_cpoly_prod(diag1, diag2), offsq)
+        poly = _cpoly_prod(*[det] * n_size)
         var_d = Fraction(1, n_size)
         var_o = Fraction(1, 2 * n_size)
         return _gauss_expect_cpoly(poly, 2, [var_d, var_d, var_o, var_o])
@@ -342,29 +291,27 @@ def _bhc_dual_side(n_size: int, k: int) -> Dict[Tuple[int, ...], Fraction]:
 def _bhq_dual_side(n_size: int, k: int) -> Dict[Tuple[int, ...], Fraction]:
     """E[Hdet**N (Lambda - i X)] over k x k GSE with weight exp(-N tr X^2)."""
     if k == 1:
-        nvars = 2  # lambda1, x (the 1x1 self-adjoint quaternion is real)
-        base: CPoly = {(1, 0): (Fraction(1), Fraction(0)),
-                       (0, 1): (Fraction(0), Fraction(-1))}
-        poly = _cpoly_pow(base, n_size, nvars)
+        _, l1, x = _cpoly_vars(3)  # the 1x1 self-adjoint quaternion x is real
+        base = _cpoly_sum(l1, _cpoly_prod({(1, 0, 0): Fraction(-1)}, x))  # lambda - i x
+        poly = _cpoly_prod(*[base] * n_size)
         return _gauss_expect_cpoly(poly, 1, [Fraction(1, 2 * n_size)])
     if k == 2:
         if n_size % 2:
             raise UsageError("BHQ k=2 needs even N (the half-determinant is a "
                              "polynomial only after squaring)")
-        # vars: l1, l2, s11, s22, s12, a1, a2, a3
-        nvars = 8
-        l1, l2, s11, s22, s12, a1, a2, a3 = (_cpoly_var(i, nvars) for i in range(8))
+        i, l1, l2, s11, s22, s12, a1, a2, a3 = _cpoly_vars(9)
+        one = {(0,) * 9: Fraction(1)}
+        minus = {(0,) * 9: Fraction(-1)}
+        minus_i = _cpoly_prod(minus, i)
         S = [[s11, s12], [s12, s22]]
         A = [a1, a2, a3]
-        one = (Fraction(1), Fraction(0))
-        i_u = (Fraction(0), Fraction(1))
         # entries of i*sigma_1, i*sigma_2, i*sigma_3 indexed [p][q]
         ipauli = [
-            {(0, 1): i_u, (1, 0): i_u},
-            {(0, 1): one, (1, 0): (Fraction(-1), Fraction(0))},
-            {(0, 0): i_u, (1, 1): (Fraction(0), Fraction(-1))},
+            {(0, 1): i, (1, 0): i},
+            {(0, 1): one, (1, 0): minus},
+            {(0, 0): i, (1, 1): minus_i},
         ]
-        anti = {(0, 1): Fraction(1), (1, 0): Fraction(-1)}
+        anti = {(0, 1): one, (1, 0): minus}
 
         # C(X) = I ox S + sum_i (i sigma_i) ox A_i with A = [[0,a],[-a,0]]
         C = [[{} for _ in range(4)] for _ in range(4)]
@@ -372,22 +319,16 @@ def _bhq_dual_side(n_size: int, k: int) -> Dict[Tuple[int, ...], Fraction]:
             for q in range(2):
                 for r in range(2):
                     for t in range(2):
-                        entry: CPoly = {}
-                        if p == q:
-                            entry = _cpoly_add(entry, S[r][t])
+                        parts = [S[r][t]] if p == q else []
                         eps = anti.get((r, t))
                         if eps is not None:
-                            for pa, var in zip(ipauli, A):
-                                z = pa.get((p, q))
-                                if z is not None:
-                                    entry = _cpoly_add(
-                                        entry, _cpoly_scale(var, (z[0] * eps, z[1] * eps)))
-                        C[2 * p + r][2 * q + t] = entry
+                            parts += [_cpoly_prod(pa[(p, q)], eps, var)
+                                      for pa, var in zip(ipauli, A) if (p, q) in pa]
+                        C[2 * p + r][2 * q + t] = _cpoly_sum(*parts)
 
         lam = [l1, l2, l1, l2]  # rows are (pauli, matrix) pairs: Lambda acts on the matrix slot
-        minus_i = (Fraction(0), Fraction(-1))
-        M = [[_cpoly_add(_cpoly_scale(C[r][t], minus_i),
-                         lam[r] if r == t else {}) for t in range(4)] for r in range(4)]
+        M = [[_cpoly_sum(_cpoly_prod(minus_i, C[r][t]), lam[r] if r == t else {})
+              for t in range(4)] for r in range(4)]
 
         from itertools import permutations
         det: CPoly = {}
@@ -397,11 +338,9 @@ def _bhq_dual_side(n_size: int, k: int) -> Dict[Tuple[int, ...], Fraction]:
                 for y in range(x + 1, 4):
                     if perm[x] > perm[y]:
                         sign = -sign
-            term: CPoly = {tuple([0] * nvars): (Fraction(sign), Fraction(0))}
-            for r in range(4):
-                term = _cpoly_mul(term, M[r][perm[r]])
-            det = _cpoly_add(det, term)
-        poly = _cpoly_pow(det, n_size // 2, nvars)
+            term = _cpoly_prod({(0,) * 9: Fraction(sign)}, *[M[r][perm[r]] for r in range(4)])
+            det = _cpoly_sum(det, term)
+        poly = _cpoly_prod(*[det] * (n_size // 2))
         var_s = Fraction(1, 2 * n_size)
         var_o = Fraction(1, 4 * n_size)
         return _gauss_expect_cpoly(poly, 2, [var_s, var_s, var_o, var_o, var_o, var_o])

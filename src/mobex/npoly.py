@@ -8,14 +8,59 @@ invariant normalization simply keep every r-exponent at zero.
 
 Terms are stored as ``{(n_exp, r_exp): Fraction}`` with integer (possibly
 negative) exponents and no zero coefficients.
+
+Every sparse polynomial in mobex is such a ``{key: coefficient}`` dict, and
+two functions here do all of their arithmetic:
+
+* ``add_term(terms, key, coeff)`` adds ``coeff`` into ``terms[key]`` and
+  drops the key when the sum cancels to 0, so no stored coefficient is 0;
+* ``mul_terms(p, q, combine)`` multiplies two term dicts; ``combine(k1, k2)``
+  is the key of the product of two monomials, or None to drop it.
+
+Coefficients only need ``+``, ``*`` and truth testing (``Fraction`` or
+``NPoly``).  The key conventions of the callers:
+
+* ``NPoly``: ``(n_exp, r_exp)``, combined by adding exponents;
+* ``series.CouplingSeries``: the sorted tuple of coupling indices (a
+  multiset), combined by a sorted merge, None past the truncation degree;
+* ``penner.ZSeries``: the z-exponent;
+* ``dualchar`` power-sum polynomials: the sorted tuple of power-sum indices,
+  combined by a sorted merge;
+* ``dualchar`` complex polynomials: an exponent vector whose slot 0 is the
+  power of i, combined by adding exponents slot by slot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
 
 Key = Tuple[int, int]
+
+
+def add_term(terms: dict, key: Hashable, coeff) -> None:
+    """terms[key] += coeff, dropping the key when the sum cancels to 0."""
+    acc = terms[key] + coeff if key in terms else coeff
+    if acc:
+        terms[key] = acc
+    else:
+        terms.pop(key, None)
+
+
+def mul_terms(p: dict, q: dict,
+              combine: Callable[[Hashable, Hashable], Optional[Hashable]]) -> dict:
+    """The product of two term dicts; combine merges two keys or drops them (None)."""
+    out: dict = {}
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            key = combine(k1, k2)
+            if key is not None:
+                add_term(out, key, c1 * c2)
+    return out
+
+
+def _add_keys(k1: Key, k2: Key) -> Key:
+    return (k1[0] + k2[0], k1[1] + k2[1])
 
 
 class NPoly:
@@ -30,6 +75,13 @@ class NPoly:
                     self.terms[key] = coeff
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def _of(terms: Dict[Key, Fraction]) -> "NPoly":
+        """Wrap a term dict that already holds no zero coefficient."""
+        result = NPoly()
+        result.terms = terms
+        return result
 
     @staticmethod
     def zero() -> "NPoly":
@@ -72,21 +124,13 @@ class NPoly:
             other = NPoly.const(other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            acc = out.get(key, Fraction(0)) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        result = NPoly()
-        result.terms = out
-        return result
+            add_term(out, key, coeff)
+        return NPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "NPoly":
-        result = NPoly()
-        result.terms = {key: -coeff for key, coeff in self.terms.items()}
-        return result
+        return NPoly._of({key: -coeff for key, coeff in self.terms.items()})
 
     def __sub__(self, other) -> "NPoly":
         if isinstance(other, (int, Fraction)):
@@ -101,18 +145,7 @@ class NPoly:
             other = NPoly.const(other)
         if not isinstance(other, NPoly):
             return NotImplemented
-        out: Dict[Key, Fraction] = {}
-        for (n1, r1), c1 in self.terms.items():
-            for (n2, r2), c2 in other.terms.items():
-                key = (n1 + n2, r1 + r2)
-                acc = out.get(key, Fraction(0)) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        result = NPoly()
-        result.terms = out
-        return result
+        return NPoly._of(mul_terms(self.terms, other.terms, _add_keys))
 
     __rmul__ = __mul__
 
@@ -152,15 +185,8 @@ class NPoly:
         """Substitute r -> 1/r and N -> -r**2 N (the alpha-duality map)."""
         out: Dict[Key, Fraction] = {}
         for (n, r), coeff in self.terms.items():
-            key = (n, 2 * n - r)
-            acc = out.get(key, Fraction(0)) + (coeff if n % 2 == 0 else -coeff)
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        result = NPoly()
-        result.terms = out
-        return result
+            add_term(out, (n, 2 * n - r), coeff if n % 2 == 0 else -coeff)
+        return NPoly._of(out)
 
     def reduce_root(self, alpha) -> "NPoly":
         """Substitute r**2 -> alpha, leaving r-exponents in {0, 1}."""
@@ -168,15 +194,8 @@ class NPoly:
         out: Dict[Key, Fraction] = {}
         for (n, r), coeff in self.terms.items():
             q, rem = divmod(r, 2)
-            key = (n, rem)
-            acc = out.get(key, Fraction(0)) + coeff * alpha ** q
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        result = NPoly()
-        result.terms = out
-        return result
+            add_term(out, (n, rem), coeff * alpha ** q)
+        return NPoly._of(out)
 
     # -- inspection ----------------------------------------------------------
 

@@ -163,9 +163,9 @@ def oracle_logZ(beta: int, tag: str, degree: int, n: int,
                 include_t1: bool = True, include_t2: bool = True,
                 budget: int = ORACLE_DEGREE_BUDGET) -> CouplingSeries:
     """log Z as a t-series with rational coefficients, from eigenvalue moments."""
+    _validate_tag(tag, beta)
     if degree > budget:
         raise BudgetError("degree %d exceeds oracle budget %d" % (degree, budget))
-    _validate_tag(tag, beta)
     measure_beta, scale, gfun = _TAG_DICTIONARY[tag](beta, n)
 
     z = CouplingSeries(degree, {(): NPoly.const(1)})
@@ -186,15 +186,20 @@ def oracle_logZ(beta: int, tag: str, degree: int, n: int,
 def oracle_compare(beta: int, tag: str, degree: int, sizes: Sequence[int],
                    include_t1: bool = True, include_t2: bool = True,
                    budget: int = ORACLE_DEGREE_BUDGET) -> List[OracleReport]:
-    """Exact comparison of the Moebius-graph sum against eigenvalue moments."""
+    """Exact comparison of the Moebius-graph sum against eigenvalue moments.
+
+    The oracle sides come first: they check the degree budget, which must
+    fail before the graph side pays for its catalog.
+    """
+    oracle_sides = [(n, oracle_logZ(beta, tag, degree, n, include_t1, include_t2, budget))
+                    for n in sizes]
     graph_side = expand_logZ(tag, degree, beta=None if tag == "invariant" else beta,
                              include_t1=include_t1, include_t2=include_t2)
     if tag == "invariant":
         graph_side = graph_side.reduce_root(Fraction(beta, 2))
 
     reports: List[OracleReport] = []
-    for n in sizes:
-        oracle_side = oracle_logZ(beta, tag, degree, n, include_t1, include_t2, budget)
+    for n, oracle_side in oracle_sides:
         keys = set(graph_side.terms) | set(oracle_side.terms)
         for key in sorted(keys):
             predicted = graph_side.coefficient(key).eval_N(n)

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, Tuple
 
 from .catalog import HALF_EDGE_BUDGET, enumerate_graphs
 from .errors import StructuralError, UsageError
-from .npoly import NPoly
+from .npoly import NPoly, add_term
 from .series import CouplingSeries
 
 
@@ -53,11 +53,7 @@ class ZSeries:
     def add_term(self, z_exp: int, value: NPoly) -> None:
         if z_exp < 1 or z_exp > self.order:
             return
-        acc = self.coeffs.get(z_exp, NPoly.zero()) + value
-        if acc:
-            self.coeffs[z_exp] = acc
-        else:
-            self.coeffs.pop(z_exp, None)
+        add_term(self.coeffs, z_exp, value)
 
     def coefficient(self, z_exp: int) -> NPoly:
         return self.coeffs.get(z_exp, NPoly.zero())

@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from .catalog import HALF_EDGE_BUDGET, enumerate_graphs
 from .errors import BudgetError, UsageError
 from .graphs import TopologyProfile
-from .npoly import NPoly
+from .npoly import NPoly, add_term, mul_terms
 from .parallel import pmap
 from .sprinkle import mu_closed_form
 
@@ -76,11 +76,7 @@ class CouplingSeries:
         self._require_same_degree(other)
         out = dict(self.terms)
         for key, val in other.terms.items():
-            acc = out.get(key, NPoly.zero()) + val
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
+            add_term(out, key, val)
         return CouplingSeries(self.degree, out)
 
     def __neg__(self) -> "CouplingSeries":
@@ -99,19 +95,11 @@ class CouplingSeries:
                     out[key] = prod
             return CouplingSeries(self.degree, out)
         self._require_same_degree(other)
-        out: Dict[Monomial, NPoly] = {}
-        for k1, v1 in self.terms.items():
-            w1 = sum(k1)
-            for k2, v2 in other.terms.items():
-                if w1 + sum(k2) > self.degree:
-                    continue
-                key = tuple(sorted(k1 + k2))
-                acc = out.get(key, NPoly.zero()) + v1 * v2
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-        return CouplingSeries(self.degree, out)
+
+        def truncated_merge(k1: Monomial, k2: Monomial) -> Optional[Monomial]:
+            return tuple(sorted(k1 + k2)) if sum(k1) + sum(k2) <= self.degree else None
+
+        return CouplingSeries(self.degree, mul_terms(self.terms, other.terms, truncated_merge))
 
     __rmul__ = __mul__
 

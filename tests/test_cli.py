@@ -53,11 +53,23 @@ def test_expand_threads_do_not_change_bytes(capsys):
     assert out1 == out2
 
 
-def test_expand_matches_golden_file(capsys):
-    import pathlib
-    golden = pathlib.Path(__file__).with_name("golden_expand_beta4_master_d6.json")
-    code, out, _ = run_cli(capsys, "expand", "--beta", "4", "--tag", "master",
-                           "--max-degree", "6")
+# golden_cli/<name>.json -> argv; the files were written by an earlier commit
+GOLDEN_CASES = {"expand_master_b4_d6": ["expand", "--beta", "4", "--tag", "master",
+                                        "--max-degree", "6"]}
+for _tag in series.TAGS:
+    for _beta in {"master": (1, 2, 4), "rescaled": (1, 2, 4)}.get(_tag, (None,)):
+        GOLDEN_CASES["expand_%s%s_d8" % (_tag, "" if _beta is None else "_b%d" % _beta)] = (
+            ["expand", "--tag", _tag, "--max-degree", "8"]
+            + ([] if _beta is None else ["--beta", str(_beta)]))
+for _which in ("BHC", "BHQ"):
+    GOLDEN_CASES["charpoly_verify_%s_N4_k2" % _which] = [
+        "charpoly", "verify", "--which", _which, "--N", "4", "--k", "2"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_expand_matches_golden_file(capsys, name):
+    golden = Path(__file__).parent / "golden_cli" / (name + ".json")
+    code, out, _ = run_cli(capsys, *GOLDEN_CASES[name])
     assert code == 0
     assert out == golden.read_text()
 
@@ -203,6 +215,8 @@ def test_env_budget_override(monkeypatch, capsys):
     monkeypatch.setenv("MOBEX_HALF_EDGE_BUDGET", "4")
     code, _, err = run_cli(capsys, "graphs", "--profile", "3:2")
     assert code == cli.EXIT_BUDGET
+    # the error names the predicted cost: 5!! = 15 matchings of 6 half-edges
+    assert json.loads(err)["error"] == "profile {3: 2} needs 6 half-edges (15 matchings), budget is 4"
     # explicit flag wins over the environment
     code, out, _ = run_cli(capsys, "graphs", "--profile", "3:2",
                            "--half-edge-budget", "16")
@@ -243,6 +257,19 @@ def test_expand_over_budget_names_half_edges(capsys):
     record = json.loads(err)
     assert record["code"] == cli.EXIT_BUDGET
     assert "needs 6 half-edges" in record["error"]
+
+
+def test_oracle_over_degree_budget_skips_the_graph_side(monkeypatch, capsys):
+    def no_graph_side(*args, **kwargs):
+        raise AssertionError("the graph side was built before the budget check")
+
+    monkeypatch.setattr(cli.oracle_mod, "expand_logZ", no_graph_side)
+    code, out, err = run_cli(capsys, "oracle", "--beta", "1", "--n", "2", "--max-degree", "10")
+    assert code == cli.EXIT_BUDGET and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "degree 10 exceeds oracle budget 8",
+                                    "code": cli.EXIT_BUDGET}
 
 
 @pytest.mark.parametrize("name", ["MOBEX_HALF_EDGE_BUDGET", "MOBEX_MU_BUDGET",

@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from mobex.catalog import canonical_code, enumerate_graphs
-from mobex.dualchar import (_ppoly_mul, charpoly_lhs, charpoly_rhs, charpoly_sides_by_edges,
-                            poincare_dual, verify_polynomial_identity)
-from mobex.errors import UsageError
+from mobex.dualchar import (_gauss_expect_cpoly, _merge, charpoly_lhs, charpoly_rhs,
+                            charpoly_sides_by_edges, poincare_dual, verify_polynomial_identity)
+from mobex.errors import UsageError, VerificationError
 from mobex.graphs import MoebiusGraph, topology
+from mobex.npoly import mul_terms
 
 
 def all_profiles(e_max):
@@ -126,6 +127,19 @@ def test_verify_argument_guards():
 
 def test_ppoly_mul_drops_cancelled_terms():
     # (p1 + p2)(p2 - p1) = p2**2 - p1**2: the p1 p2 terms cancel exactly
-    product = _ppoly_mul({(1,): Fraction(1), (2,): Fraction(1)},
-                         {(2,): Fraction(1), (1,): Fraction(-1)})
+    product = mul_terms({(1,): Fraction(1), (2,): Fraction(1)},
+                        {(2,): Fraction(1), (1,): Fraction(-1)}, _merge)
     assert product == {(2, 2): Fraction(1), (1, 1): Fraction(-1)}
+
+
+def test_gauss_expectation_rejects_a_surviving_odd_power_of_i():
+    # keys are (power of i, lambda, y); E[y**2] = 1 at variance 1
+    assert _gauss_expect_cpoly({(2, 1, 0): Fraction(3), (0, 0, 2): Fraction(1)}, 1,
+                               [Fraction(1)]) == {(1,): Fraction(-3), (0,): Fraction(1)}
+    # i + i**3 = 0: odd powers that cancel are fine
+    assert _gauss_expect_cpoly({(1, 0, 2): Fraction(1), (3, 0, 2): Fraction(1)}, 1,
+                               [Fraction(1)]) == {}
+    with pytest.raises(VerificationError) as info:
+        _gauss_expect_cpoly({(1, 0, 2): Fraction(1), (0, 0, 0): Fraction(1)}, 1,
+                            [Fraction(1, 2)])
+    assert info.value.payload == {(0,): Fraction(1, 2)}

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from mobex import oracle
 from mobex.errors import BudgetError, UsageError
 from mobex.npoly import NPoly
 from mobex.oracle import (MomentQuery, _loop_moment, eigenvalue_moment, isserlis_trace_moment,
@@ -113,8 +114,12 @@ def test_oracle_logZ_matches_direct_moment():
     assert z.coefficient((2,)).as_fraction() == Fraction(6, 4)  # E[p2]/4 at n=2
 
 
-def test_budget_guard():
-    with pytest.raises(BudgetError):
+def test_budget_guard(monkeypatch):
+    def no_graph_side(*args, **kwargs):
+        raise AssertionError("the graph side was built before the budget check")
+
+    monkeypatch.setattr(oracle, "expand_logZ", no_graph_side)
+    with pytest.raises(BudgetError, match="degree 10 exceeds oracle budget 8"):
         oracle_compare(1, "master", 10, [2], budget=8)
 
 

@@ -1,4 +1,4 @@
-"""Smoke test: every experiment script still imports and parses its arguments."""
+"""Smoke tests: every experiment script and every CLI subcommand parses --help."""
 
 import os
 import subprocess
@@ -22,3 +22,16 @@ def test_script_help(script):
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert b"usage" in proc.stdout
+
+
+@pytest.mark.parametrize("sub", ["graphs", "expand", "mu", "oracle", "penner", "charpoly",
+                                 "clt", "duality"])
+def test_cli_subcommand_help(sub):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "mobex", sub, "--help"], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.startswith(b"usage: mobex " + sub.encode())
+    for flag in (b"--threads", b"--format", b"--half-edge-budget", b"--mu-budget",
+                 b"--oracle-budget"):
+        assert flag in proc.stdout

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from mobex.errors import BudgetError, UsageError
-from mobex.npoly import NPoly
+from mobex.npoly import NPoly, _add_keys, add_term, mul_terms
 from mobex.series import (CouplingSeries, apply_duality, expand_logZ, expand_Z,
                           iter_monomials, rescale_couplings, series_one,
                           tag_monomials)
@@ -18,6 +18,29 @@ def test_npoly_basics():
     assert p - p == NPoly.zero()
     assert NPoly.from_json(p.to_json()) == p
     assert NPoly.N(-2).eval_N(2) == Fraction(1, 4)
+
+
+_npoly_terms = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3), max_size=6)
+
+
+@given(_npoly_terms, _npoly_terms, _npoly_terms)
+@settings(max_examples=80, deadline=None)
+def test_mul_terms_distributes_and_stores_no_zero(p, q, r):
+    def plus(*dicts):
+        out = {}
+        for terms in dicts:
+            for key, coeff in terms.items():
+                add_term(out, key, coeff)
+        return out
+
+    # the inputs may hold zero coefficients; no result ever does
+    left = mul_terms(p, plus(q, r), _add_keys)
+    right = plus(mul_terms(p, q, _add_keys), mul_terms(p, r, _add_keys))
+    assert left == right
+    for terms in (left, right, plus(q, r), mul_terms(p, q, _add_keys)):
+        assert all(terms.values())
 
 
 def test_dual_transform_single_terms():
