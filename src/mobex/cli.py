@@ -76,6 +76,13 @@ def _parse_profile(text: str) -> dict:
     return profile
 
 
+def _parse_powers(text: str) -> tuple:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise UsageError("powers must look like '2' or '1,3', got %r" % text) from exc
+
+
 def _jsonable(obj):
     """A JSON-safe rendering of a failure payload; never raises."""
     try:
@@ -186,7 +193,7 @@ def _cmd_mu(args: argparse.Namespace, budgets: Budgets) -> int:
 def _cmd_oracle(args: argparse.Namespace, budgets: Budgets) -> int:
     scale = _parse_fraction(args.scale)
     if args.mode == "mc":
-        powers = tuple(int(x) for x in args.powers.split(","))
+        powers = _parse_powers(args.powers)
         mean, err = oracle_mod.mc_estimate(args.beta, args.n, powers, args.samples,
                                            args.seed, scale=scale)
         _emit({"mean": mean, "stderr": err, "beta": args.beta, "n": args.n,

@@ -33,7 +33,9 @@ Coefficients only need ``+``, ``*`` and truth testing (``Fraction`` or
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional, Tuple
+
+from .errors import UsageError
 
 Key = Tuple[int, int]
 
@@ -191,6 +193,8 @@ class NPoly:
     def reduce_root(self, alpha) -> "NPoly":
         """Substitute r**2 -> alpha, leaving r-exponents in {0, 1}."""
         alpha = Fraction(alpha)
+        if not alpha:
+            raise UsageError("alpha must be non-zero")
         out: Dict[Key, Fraction] = {}
         for (n, r), coeff in self.terms.items():
             q, rem = divmod(r, 2)
@@ -198,9 +202,6 @@ class NPoly:
         return NPoly._of(out)
 
     # -- inspection ----------------------------------------------------------
-
-    def n_exponents(self) -> Iterable[int]:
-        return sorted({n for (n, _) in self.terms})
 
     def is_rational(self) -> bool:
         return all(key == (0, 0) for key in self.terms)

@@ -16,7 +16,11 @@ never touches a graph.  The entry-level Wick-pairing route
 (isserlis_trace_moment) is kept beside it for beta = 1.
 
 Monte Carlo estimation is a sanity layer only; acceptance never depends
-on it.
+on it.  It follows the paper's one construction for the three ensembles: a
+self-adjoint matrix over the units {1}, {1, i} or {1, i, j, k} is
+X = sum_u U_u (x) B_u, with the units as d x d complex matrices (d = 1, 1,
+2), B_0 real symmetric and the other B_u real antisymmetric.  Batches of
+max(1, 2**12 // (dn)**2) such dn x dn matrices go through one eigvalsh each.
 """
 
 from __future__ import annotations
@@ -217,9 +221,25 @@ def oracle_compare(beta: int, tag: str, degree: int, sizes: Sequence[int],
 
 # -- Monte Carlo sanity layer ----------------------------------------------------------
 
+# The d x d matrices of the units: {1} (real), {1, i} (complex) and
+# {1, i, j, k} as I_2, i sigma_1, i sigma_2, i sigma_3 (quaternionic).
+_UNITS = {1: [[[1]]],
+          2: [[[1]], [[1j]]],
+          4: [[[1, 0], [0, 1]], [[0, 1j], [1j, 0]], [[0, 1], [-1, 0]], [[1j, 0], [0, -1j]]]}
+
+
 def mc_estimate(beta: int, n: int, powers: Sequence[int], samples: int, seed: int,
                 scale: Fraction = Fraction(1, 4)) -> Tuple[float, float]:
-    """Sample mean and standard error of prod_l tr X**{j_l}."""
+    """Sample mean and standard error of prod_l tr X**{j_l}.
+
+    X = sum_u U_u (x) B_u is the dn x dn complex form of a self-adjoint
+    matrix over the units U_u: B_0 is real symmetric (off-diagonal
+    N(0, 1/(4c)), diagonal N(0, 1/(2c))), each other B_u real antisymmetric
+    (N(0, 1/(4c))).  tr X**j / d, the trace over the units, is
+    sum lambda**j / d over the eigenvalues of X.  Samples are drawn in
+    batches of max(1, 2**12 // (dn)**2) matrices, so memory does not grow
+    with ``samples``; larger batches raise the peak RSS and gain little.
+    """
     import numpy as np
 
     MomentQuery(beta, n, tuple(powers), scale)  # the exact route's bounds on the inputs
@@ -229,45 +249,24 @@ def mc_estimate(beta: int, n: int, powers: Sequence[int], samples: int, seed: in
     c = float(scale)
     sd_diag = (1.0 / (2 * c)) ** 0.5
     sd_off = (1.0 / (4 * c)) ** 0.5
+    units = np.array(_UNITS[beta])
+    d = len(units[0])
+    dn = d * n
+    batch = max(1, 2 ** 12 // dn ** 2)
+
+    def part(m: int, sign: int):
+        upper = np.triu(rng.normal(0.0, sd_off, (m, n, n)), 1)
+        return upper + sign * upper.swapaxes(1, 2)
 
     values = np.empty(samples)
-    pauli = [np.array([[0, 1], [1, 0]], dtype=complex),
-             np.array([[0, -1j], [1j, 0]], dtype=complex),
-             np.array([[1, 0], [0, -1]], dtype=complex)]
-    eye2 = np.eye(2, dtype=complex)
-
-    def sample_symmetric():
-        upper = np.triu(rng.normal(0.0, sd_off, (n, n)), 1)
-        s = upper + upper.T
-        np.fill_diagonal(s, rng.normal(0.0, sd_diag, n))
-        return s
-
-    def sample_antisymmetric():
-        upper = np.triu(rng.normal(0.0, sd_off, (n, n)), 1)
-        return upper - upper.T
-
-    for it in range(samples):
-        if beta == 1:
-            mat = sample_symmetric()
-            tr = lambda j: np.trace(np.linalg.matrix_power(mat, j)).real
-        elif beta == 2:
-            re = np.triu(rng.normal(0.0, sd_off, (n, n)), 1)
-            im = np.triu(rng.normal(0.0, sd_off, (n, n)), 1)
-            x = (re + 1j * im).astype(complex)
-            x = x + x.conj().T
-            np.fill_diagonal(x, rng.normal(0.0, sd_diag, n))
-            mat = x
-            tr = lambda j: np.trace(np.linalg.matrix_power(mat, j)).real
-        else:
-            cx = np.kron(eye2, sample_symmetric()).astype(complex)
-            for pa in pauli:
-                cx = cx + np.kron(1j * pa, sample_antisymmetric())
-            mat = cx
-            tr = lambda j: 0.5 * np.trace(np.linalg.matrix_power(mat, j)).real
-        prod_val = 1.0
-        for j in powers:
-            prod_val *= tr(j)
-        values[it] = prod_val
+    for start in range(0, samples, batch):
+        m = min(batch, samples - start)
+        blocks = [part(m, 1)]
+        blocks[0][:, range(n), range(n)] = rng.normal(0.0, sd_diag, (m, n))
+        blocks += [part(m, -1) for _ in units[1:]]
+        x = sum(np.einsum("ij,mab->miajb", u, b) for u, b in zip(units, blocks))
+        eig = np.linalg.eigvalsh(x.reshape(m, dn, dn))
+        values[start:start + m] = np.prod([(eig ** j).sum(axis=1) / d for j in powers], axis=0)
 
     mean = float(values.mean())
     err = float(values.std(ddof=1) / samples ** 0.5)

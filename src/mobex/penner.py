@@ -103,12 +103,6 @@ class ZSeries:
             out.add_term(m, val * NPoly.monomial(-m, 0, factor ** m))
         return out
 
-    def truncate(self, order: int) -> "ZSeries":
-        out = ZSeries(order)
-        for m, val in self.coeffs.items():
-            out.add_term(m, val)
-        return out
-
     def to_json(self) -> Dict[str, Dict[str, str]]:
         return {str(m): self.coeffs[m].to_json() for m in sorted(self.coeffs)}
 

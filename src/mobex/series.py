@@ -144,9 +144,6 @@ class CouplingSeries:
                 out[key] = new
         return CouplingSeries(self.degree, out)
 
-    def evaluate_N(self, n_value) -> Dict[Monomial, Fraction]:
-        return {key: val.eval_N(n_value) for key, val in self.terms.items()}
-
     def reduce_root(self, alpha) -> "CouplingSeries":
         return self.map_coefficients(lambda p: p.reduce_root(alpha))
 
@@ -166,6 +163,8 @@ def series_one(degree: int) -> CouplingSeries:
 def iter_monomials(degree: int, allowed: Optional[Callable[[int], bool]] = None
                    ) -> Iterator[Monomial]:
     """Nonempty valence multisets of weighted degree <= degree (even totals)."""
+    if degree < 0:
+        raise UsageError("truncation degree must be >= 0, got %d" % degree)
 
     def rec(budget: int, j: int) -> Iterator[Tuple[int, ...]]:
         yield ()
@@ -245,8 +244,6 @@ def tag_monomials(tag: str, degree: int, include_t1: bool = True,
     t_1 and t_2 drop out on request, and always for gse-penner, whose
     couplings start at j = 3.
     """
-    if degree < 0:
-        raise UsageError("truncation degree must be >= 0, got %d" % degree)
     if tag == "gse-penner":
         include_t1 = include_t2 = False
     dropped = {j for j, keep in ((1, include_t1), (2, include_t2)) if not keep}

@@ -331,3 +331,35 @@ def test_missing_input_file_is_structural(tmp_path, capsys):
                              "--beta", "1")
     assert code == cli.EXIT_STRUCTURAL and out == ""
     assert json.loads(err)["code"] == cli.EXIT_STRUCTURAL
+
+
+# argv -> the documented exit code; "{tmp}" holds klein.json and garbled.json.
+# Failures that other tests here pin one by one are not repeated.
+FAILURE_CONTRACT = [
+    ("graphs --profile 3:x", cli.EXIT_USAGE),
+    ("expand --tag hermitian --beta 1 --max-degree 4", cli.EXIT_USAGE),
+    ("oracle --beta 3 --n 2", cli.EXIT_USAGE),
+    ("oracle mc --beta 1 --n 2 --powers x", cli.EXIT_USAGE),
+    ("oracle mc --beta 1 --n 2 --powers 2,", cli.EXIT_USAGE),
+    ("penner --model I --r x", cli.EXIT_USAGE),
+    ("charpoly --max-degree -1", cli.EXIT_USAGE),
+    ("charpoly --ensemble goe --side rhs", cli.EXIT_USAGE),
+    ("clt --alpha x", cli.EXIT_USAGE),
+    ("duality --alpha 0", cli.EXIT_USAGE),
+    ("duality --alpha 1/0", cli.EXIT_USAGE),
+    ("charpoly --max-degree 40", cli.EXIT_BUDGET),
+    ("mu --graph {tmp}/klein.json --beta 4 --mu-budget 1", cli.EXIT_BUDGET),
+    ("mu --graph {tmp}/garbled.json --beta 1", cli.EXIT_STRUCTURAL),
+]
+
+
+@pytest.mark.parametrize("line,expected", FAILURE_CONTRACT)
+def test_failure_contract(tmp_path, capsys, line, expected):
+    (tmp_path / "klein.json").write_text(
+        graph_to_json(MoebiusGraph([(0, 1, 2, 3)], [(0, 1), (2, 3)], [True, True])))
+    (tmp_path / "garbled.json").write_text("not json")
+    code, out, err = run_cli(capsys, *line.format(tmp=tmp_path).split())
+    assert code == expected and out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == expected

@@ -137,6 +137,15 @@ def test_mc_quaternionic_sampler():
     assert abs(mean - 12) < 3 * err
 
 
+@pytest.mark.parametrize("powers", [(4,), (1, 3), (2, 2)], ids=["4", "1,3", "2,2"])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_mc_grid_matches_loop_equations(beta, n, powers):
+    exact = eigenvalue_moment(MomentQuery(beta, n, powers, QUARTER))
+    mean, err = mc_estimate(beta, n, powers, 20000, 2024)
+    assert abs(mean - exact) < 4 * err
+
+
 def test_mc_seed_determinism():
     a = mc_estimate(1, 2, (2,), 500, 42)
     b = mc_estimate(1, 2, (2,), 500, 42)
