@@ -15,10 +15,15 @@ determinant-correlator dualities are graph sums:
   GOE  lhs  (-1)**v 2**(v-e) N**(f-e) tau^(v-profile) / |Aut|  over Moebius
   GSE  rhs  (-1)**f 2**(f-e) N**(v-e) tau^(f-profile) / |Aut|
 
-and the lhs/rhs agreement is term-by-term Poincare duality.  The finite-N
-polynomial identities behind them are verified exactly for small N and k
-by expanding determinants into power sums (matrix side) and entry-level
-Gaussian moments (dual side).
+one class sum with (v, f) swapped, and the lhs/rhs agreement is term-by-term
+Poincare duality.  The finite-N polynomial identities behind them are
+verified exactly for every N and k <= 2.  The matrix side expands
+the determinants into power sums and exact eigenvalue moments.  The dual
+side builds the k x k self-adjoint Y = sum_u U_u (x) B_u from the unit
+matrices of the Monte Carlo sampler, over entry-level Gaussian variables,
+and takes Hdet(Lambda - i Y) as one Pfaffian: det M = +-Pf [[0, M], [-M^T, 0]]
+for BHC and Hdet M = +-Pf(M J), J = (i sigma_2) (x) I_k, for BHQ, which is
+a polynomial at odd N too.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .catalog import HALF_EDGE_BUDGET, enumerate_graphs, ribbon_classes
 from .errors import UsageError, VerificationError
 from .graphs import MoebiusGraph
 from .npoly import NPoly, add_term, mul_terms
-from .oracle import MomentQuery, eigenvalue_moment
+from .oracle import _UNITS, MomentQuery, eigenvalue_moment
 from .series import CouplingSeries, iter_monomials
 
 LambdaSeries = CouplingSeries  # monomials are multisets of tau_j indices
@@ -104,47 +109,43 @@ def _profile_monomial(pairs: Tuple[Tuple[int, int], ...]) -> Tuple[int, ...]:
     return tuple(sorted(out))
 
 
+def _charpoly_side(ensemble: str, degree: int, dual: bool,
+                   budget: int) -> LambdaSeries:
+    """(-1)**a c**(a-e) N**(b-e) tau^(a-profile) / |Aut| over the classes.
+
+    (a, b) = (v, f) on the lhs and (f, v) on the dual (rhs) side; c = 1 over
+    ribbon classes (gue) and c = 2 over Moebius classes (goe, gse).
+    """
+    c = 1 if ensemble == "gue" else 2
+    series = CouplingSeries(degree, {})
+    for profile in iter_monomials(degree):
+        if c == 1:
+            classes = [(aut, topo) for _, aut, topo in ribbon_classes(profile, budget)]
+        else:
+            classes = [(entry.aut_moebius, entry.topology) for entry
+                       in enumerate_graphs(list(profile), half_edge_budget=budget)]
+        for aut, topo in classes:
+            a, b, pairs = ((topo.f, topo.v, topo.f_profile) if dual
+                           else (topo.v, topo.f, topo.v_profile))
+            add_term(series.terms, _profile_monomial(pairs), NPoly.monomial(
+                b - topo.e, 0, Fraction((-1) ** a, aut) * Fraction(c) ** (a - topo.e)))
+    return series
+
+
 def charpoly_lhs(ensemble: str, degree: int,
                  half_edge_budget: int = HALF_EDGE_BUDGET) -> LambdaSeries:
     """N x N side of the correlator duality, as a tau-series."""
-    series = CouplingSeries(degree, {})
-    if ensemble == "gue":
-        for profile in iter_monomials(degree):
-            for code, aut, topo in ribbon_classes(profile, half_edge_budget):
-                add_term(series.terms, profile, NPoly.monomial(
-                    topo.f - topo.e, 0, Fraction((-1) ** topo.v, aut)))
-    elif ensemble == "goe":
-        for profile in iter_monomials(degree):
-            for entry in enumerate_graphs(list(profile), half_edge_budget=half_edge_budget):
-                topo = entry.topology
-                coeff = (Fraction((-1) ** topo.v) * Fraction(2) ** (topo.v - topo.e)
-                         / entry.aut_moebius)
-                add_term(series.terms, profile, NPoly.monomial(topo.f - topo.e, 0, coeff))
-    else:
+    if ensemble not in ("gue", "goe"):
         raise UsageError("lhs ensembles: gue, goe")
-    return series
+    return _charpoly_side(ensemble, degree, False, half_edge_budget)
 
 
 def charpoly_rhs(ensemble: str, degree: int,
                  half_edge_budget: int = HALF_EDGE_BUDGET) -> LambdaSeries:
     """k x k side: same graphs, but faces carry the tau symbols."""
-    series = CouplingSeries(degree, {})
-    if ensemble == "gue":
-        for profile in iter_monomials(degree):
-            for code, aut, topo in ribbon_classes(profile, half_edge_budget):
-                add_term(series.terms, _profile_monomial(topo.f_profile), NPoly.monomial(
-                    topo.v - topo.e, 0, Fraction((-1) ** topo.f, aut)))
-    elif ensemble == "gse":
-        for profile in iter_monomials(degree):
-            for entry in enumerate_graphs(list(profile), half_edge_budget=half_edge_budget):
-                topo = entry.topology
-                coeff = (Fraction((-1) ** topo.f) * Fraction(2) ** (topo.f - topo.e)
-                         / entry.aut_moebius)
-                add_term(series.terms, _profile_monomial(topo.f_profile),
-                         NPoly.monomial(topo.v - topo.e, 0, coeff))
-    else:
+    if ensemble not in ("gue", "gse"):
         raise UsageError("rhs ensembles: gue, gse")
-    return series
+    return _charpoly_side(ensemble, degree, True, half_edge_budget)
 
 
 def charpoly_sides_by_edges(pair: str, edges: int,
@@ -267,84 +268,70 @@ def _gauss_expect_cpoly(poly: CPoly, k: int, variances: Sequence[Fraction]
     return out
 
 
-def _bhc_dual_side(n_size: int, k: int) -> Dict[Tuple[int, ...], Fraction]:
-    """E[det**N (Lambda - i Y)] over k x k GUE with weight exp(-N/2 tr Y^2)."""
-    if k == 1:
-        _, l1, y = _cpoly_vars(3)  # slots: i, lambda, y
-        det = _cpoly_sum(l1, _cpoly_prod({(1, 0, 0): Fraction(-1)}, y))  # lambda - i y
-        poly = _cpoly_prod(*[det] * n_size)
-        return _gauss_expect_cpoly(poly, 1, [Fraction(1, n_size)])
-    if k == 2:
-        _, l1, l2, y11, y22, a, b = _cpoly_vars(7)  # a, b = re y12, im y12
-        minus_i = {(1,) + (0,) * 6: Fraction(-1)}
-        diag1 = _cpoly_sum(l1, _cpoly_prod(minus_i, y11))
-        diag2 = _cpoly_sum(l2, _cpoly_prod(minus_i, y22))
-        offsq = _cpoly_sum(_cpoly_prod(a, a), _cpoly_prod(b, b))  # Y12 Y21 = a^2 + b^2
-        det = _cpoly_sum(_cpoly_prod(diag1, diag2), offsq)
-        poly = _cpoly_prod(*[det] * n_size)
-        var_d = Fraction(1, n_size)
-        var_o = Fraction(1, 2 * n_size)
-        return _gauss_expect_cpoly(poly, 2, [var_d, var_d, var_o, var_o])
-    raise UsageError("BHC dual side implemented for k <= 2")
+def _pfaffian(a: List[List[CPoly]]) -> CPoly:
+    """Pf of an antisymmetric 2m x 2m matrix, expanded along its first row."""
+    def pf(rows: Tuple[int, ...]) -> CPoly:
+        if len(rows) == 2:
+            return a[rows[0]][rows[1]]
+        out: CPoly = {}
+        for pos, j in enumerate(rows[1:]):
+            if a[rows[0]][j]:
+                minor = pf(rows[1:pos + 1] + rows[pos + 2:])
+                for key, coeff in _cpoly_prod(a[rows[0]][j], minor).items():
+                    add_term(out, key, (-1) ** pos * coeff)
+        return out
+    return pf(tuple(range(len(a))))
 
 
-def _bhq_dual_side(n_size: int, k: int) -> Dict[Tuple[int, ...], Fraction]:
-    """E[Hdet**N (Lambda - i X)] over k x k GSE with weight exp(-N tr X^2)."""
-    if k == 1:
-        _, l1, x = _cpoly_vars(3)  # the 1x1 self-adjoint quaternion x is real
-        base = _cpoly_sum(l1, _cpoly_prod({(1, 0, 0): Fraction(-1)}, x))  # lambda - i x
-        poly = _cpoly_prod(*[base] * n_size)
-        return _gauss_expect_cpoly(poly, 1, [Fraction(1, 2 * n_size)])
-    if k == 2:
-        if n_size % 2:
-            raise UsageError("BHQ k=2 needs even N (the half-determinant is a "
-                             "polynomial only after squaring)")
-        i, l1, l2, s11, s22, s12, a1, a2, a3 = _cpoly_vars(9)
-        one = {(0,) * 9: Fraction(1)}
-        minus = {(0,) * 9: Fraction(-1)}
-        minus_i = _cpoly_prod(minus, i)
-        S = [[s11, s12], [s12, s22]]
-        A = [a1, a2, a3]
-        # entries of i*sigma_1, i*sigma_2, i*sigma_3 indexed [p][q]
-        ipauli = [
-            {(0, 1): i, (1, 0): i},
-            {(0, 1): one, (1, 0): minus},
-            {(0, 0): i, (1, 1): minus_i},
-        ]
-        anti = {(0, 1): one, (1, 0): minus}
+def _dual_side(beta: int, n_size: int, k: int) -> Dict[Tuple[int, ...], Fraction]:
+    """E[Hdet**N (Lambda - i Y)] over the k x k ensemble, beta = 2 or 4.
 
-        # C(X) = I ox S + sum_i (i sigma_i) ox A_i with A = [[0,a],[-a,0]]
-        C = [[{} for _ in range(4)] for _ in range(4)]
-        for p in range(2):
-            for q in range(2):
-                for r in range(2):
-                    for t in range(2):
-                        parts = [S[r][t]] if p == q else []
-                        eps = anti.get((r, t))
-                        if eps is not None:
-                            parts += [_cpoly_prod(pa[(p, q)], eps, var)
-                                      for pa, var in zip(ipauli, A) if (p, q) in pa]
-                        C[2 * p + r][2 * q + t] = _cpoly_sum(*parts)
+    Y = sum_u U_u (x) B_u over the units of the Monte Carlo sampler: B_0 real
+    symmetric (diagonal variance 1/(2c), off-diagonal 1/(4c)), the other B_u
+    real antisymmetric (1/(4c)), c = N beta / 4; that is the weight
+    exp(-N/2 tr Y**2) at beta = 2 and exp(-N tr X**2) at beta = 4.  With
+    M = I_d (x) Lambda - i Y, Hdet M is (-1)**(k(k-1)/2) times
+    Pf [[0, M], [-M^T, 0]] = det M at beta = 2 and Pf(M J), J = (i sigma_2)
+    (x) I_k, at beta = 4, where M^T = J M J^-1 makes M J antisymmetric.
+    """
+    units = _UNITS[beta]
+    d = len(units[0])
+    n_gauss = k + len(units) * k * (k - 1) // 2
+    nslots = 1 + k + n_gauss
+    i_unit, *symbols = _cpoly_vars(nslots)
+    lam, gauss = symbols[:k], iter(symbols[k:])
+    c = Fraction(n_size * beta, 4)
+    variances = [1 / (2 * c)] * k + [1 / (4 * c)] * (n_gauss - k)
 
-        lam = [l1, l2, l1, l2]  # rows are (pauli, matrix) pairs: Lambda acts on the matrix slot
-        M = [[_cpoly_sum(_cpoly_prod(minus_i, C[r][t]), lam[r] if r == t else {})
-              for t in range(4)] for r in range(4)]
+    def scaled(z: complex, poly: CPoly) -> CPoly:  # z a Gaussian integer
+        unit = _cpoly_sum({(0,) * nslots: Fraction(int(z.real))},
+                          {key: Fraction(int(z.imag)) for key in i_unit})
+        return _cpoly_prod(unit, poly)
 
-        from itertools import permutations
-        det: CPoly = {}
-        for perm in permutations(range(4)):
-            sign = 1
-            for x in range(4):
-                for y in range(x + 1, 4):
-                    if perm[x] > perm[y]:
-                        sign = -sign
-            term = _cpoly_prod({(0,) * 9: Fraction(sign)}, *[M[r][perm[r]] for r in range(4)])
-            det = _cpoly_sum(det, term)
-        poly = _cpoly_prod(*[det] * (n_size // 2))
-        var_s = Fraction(1, 2 * n_size)
-        var_o = Fraction(1, 4 * n_size)
-        return _gauss_expect_cpoly(poly, 2, [var_s, var_s, var_o, var_o, var_o, var_o])
-    raise UsageError("BHQ dual side implemented for k <= 2")
+    diagonal = [next(gauss) for _ in range(k)]
+    blocks = []
+    for u in range(len(units)):
+        b = [[diagonal[x] if u == 0 and x == y else {} for y in range(k)] for x in range(k)]
+        for x in range(k):
+            for y in range(x + 1, k):
+                b[x][y] = next(gauss)
+                b[y][x] = b[x][y] if u == 0 else scaled(-1, b[x][y])
+        blocks.append(b)
+
+    def entry(p: int, x: int, q: int, y: int) -> CPoly:
+        parts = [lam[x]] if (p, x) == (q, y) else []
+        return _cpoly_sum(*parts, *[scaled(-1j * unit[p][q], b[x][y])
+                                    for unit, b in zip(units, blocks) if unit[p][q] and b[x][y]])
+
+    m = [[entry(p, x, q, y) for q in range(d) for y in range(k)]
+         for p in range(d) for x in range(k)]
+    if d == 1:  # [[0, M], [-M^T, 0]]
+        a = ([[{}] * k + row for row in m]
+             + [[scaled(-1, m[y][x]) for y in range(k)] + [{}] * k for x in range(k)])
+    else:  # M J: column (0, y) is -M[., (1, y)], column (1, y) is M[., (0, y)]
+        a = [[scaled(-1, row[k + y]) for y in range(k)] + row[:k] for row in m]
+    hdet = scaled((-1) ** (k * (k - 1) // 2), _pfaffian(a))
+    return _gauss_expect_cpoly(_cpoly_prod(*[hdet] * n_size), k, variances)
 
 
 @dataclass(frozen=True)
@@ -362,14 +349,14 @@ def verify_polynomial_identity(n_size: int, k: int, which: str) -> CharpolyRepor
     if n_size < 1 or k < 1:
         raise UsageError("need N >= 1 and k >= 1")
     which = which.upper()
-    if which == "BHC":
-        lhs = _charpoly_matrix_side(2, n_size, k, Fraction(n_size, 2))
-        rhs = _bhc_dual_side(n_size, k)
-    elif which == "BHQ":
-        lhs = _charpoly_matrix_side(1, n_size, k, Fraction(n_size, 2))
-        rhs = _bhq_dual_side(n_size, k)
-    else:
+    if which not in ("BHC", "BHQ"):
         raise UsageError("which must be BHC or BHQ")
+    if k > 2:
+        raise UsageError("the dual side is implemented for k <= 2 (its cost grows "
+                         "steeply with k)")
+    matrix_beta, dual_beta = (2, 2) if which == "BHC" else (1, 4)
+    lhs = _charpoly_matrix_side(matrix_beta, n_size, k, Fraction(n_size, 2))
+    rhs = _dual_side(dual_beta, n_size, k)
     equal = lhs == rhs
     report = CharpolyReport(which=which, n=n_size, k=k,
                             lhs=tuple(sorted(lhs.items())),

@@ -94,9 +94,6 @@ class MoebiusGraph:
     def partner(self, h: int) -> int:
         return self._partner[h]
 
-    def vertex_of(self, h: int) -> int:
-        return self._vertex_of[h]
-
     def edge_of(self, h: int) -> int:
         return self._edge_of[h]
 

@@ -347,8 +347,10 @@ FAILURE_CONTRACT = [
     ("clt --alpha x", cli.EXIT_USAGE),
     ("duality --alpha 0", cli.EXIT_USAGE),
     ("duality --alpha 1/0", cli.EXIT_USAGE),
+    ("charpoly verify --which BHQ --N 4 --k 3", cli.EXIT_USAGE),
     ("charpoly --max-degree 40", cli.EXIT_BUDGET),
     ("mu --graph {tmp}/klein.json --beta 4 --mu-budget 1", cli.EXIT_BUDGET),
+    ("clt --jmax 9", cli.EXIT_BUDGET),
     ("mu --graph {tmp}/garbled.json --beta 1", cli.EXIT_STRUCTURAL),
 ]
 

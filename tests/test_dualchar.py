@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mobex import dualchar
 from mobex.catalog import canonical_code, enumerate_graphs
 from mobex.dualchar import (_gauss_expect_cpoly, _merge, charpoly_lhs, charpoly_rhs,
                             charpoly_sides_by_edges, poincare_dual, verify_polynomial_identity)
@@ -95,14 +96,16 @@ def test_bhc_identity():
     for n in (1, 2, 3):
         report = verify_polynomial_identity(n, 1, "BHC")
         assert report.equal
-    assert verify_polynomial_identity(2, 2, "BHC").equal
+    for n in range(1, 6):
+        assert verify_polynomial_identity(n, 2, "BHC").equal
 
 
 def test_bhq_identity():
     for n in (1, 2, 3):
         report = verify_polynomial_identity(n, 1, "BHQ")
         assert report.equal
-    assert verify_polynomial_identity(2, 2, "BHQ").equal
+    for n in range(1, 6):  # the Pfaffian is a polynomial at odd N too
+        assert verify_polynomial_identity(n, 2, "BHQ").equal
 
 
 def test_bhc_explicit_small_polynomials():
@@ -116,13 +119,19 @@ def test_bhc_explicit_small_polynomials():
     assert dict(report.lhs) == {(2,): 1, (0,): Fraction(-1, 4)}
 
 
-def test_verify_argument_guards():
+def test_verify_argument_guards(monkeypatch):
     with pytest.raises(UsageError):
         verify_polynomial_identity(1, 1, "XYZ")
     with pytest.raises(UsageError):
         verify_polynomial_identity(0, 1, "BHC")
+
+    def matrix_side(*args):
+        raise AssertionError("the matrix side ran before the k check")
+
+    # k > 2 is refused before either side is computed
+    monkeypatch.setattr(dualchar, "_charpoly_matrix_side", matrix_side)
     with pytest.raises(UsageError):
-        verify_polynomial_identity(3, 2, "BHQ")  # odd N at k=2
+        verify_polynomial_identity(4, 3, "BHQ")
 
 
 def test_ppoly_mul_drops_cancelled_terms():

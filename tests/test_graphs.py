@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from mobex.catalog import canonical_code
+from mobex.dualchar import poincare_dual
 from mobex.errors import StructuralError
 from mobex.graphs import (MoebiusGraph, contract_edge, flip_vertex,
                           graph_from_json, graph_to_json, orientability,
@@ -207,12 +209,12 @@ def test_twist_normalization_by_flips():
 
 
 @st.composite
-def random_graphs(draw):
-    n_edges = draw(st.integers(1, 4))
+def random_graphs(draw, max_edges=4, max_vertices=3):
+    n_edges = draw(st.integers(1, max_edges))
     n = 2 * n_edges
     perm = draw(st.permutations(list(range(n))))
-    # split the shuffled half-edges into 1..3 vertices
-    n_vertices = draw(st.integers(1, min(3, n)))
+    # split the shuffled half-edges into 1..max_vertices vertices
+    n_vertices = draw(st.integers(1, min(max_vertices, n)))
     cuts = sorted(draw(st.lists(st.integers(1, n - 1), min_size=n_vertices - 1,
                                 max_size=n_vertices - 1, unique=True)))
     rotations, start = [], 0
@@ -237,3 +239,14 @@ def test_euler_formula_random(graph):
     t = topology(graph)
     assert t.chi == t.v - t.e + t.f
     t.check()
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs(max_edges=8, max_vertices=8))
+def test_poincare_dual_random(graph):
+    # the catalog test in test_dualchar is exhaustive only to e = 4
+    dual = poincare_dual(graph)
+    t, td = topology(graph), topology(dual)
+    assert td.v_profile == t.f_profile and td.f_profile == t.v_profile
+    assert (td.chi, td.natural) == (t.chi, t.natural)
+    assert canonical_code(poincare_dual(dual)) == canonical_code(graph)
