@@ -14,6 +14,15 @@ number of flags attaining it is the automorphism order, because a
 structure map is fixed by the image of a single flag on a connected graph.
 Restricting the competition to positive-direction flags on an untwisted
 graph yields the ribbon (orientation-preserving) variants.
+
+The connected Moebius catalog is built by orderly generation (Read, "Every
+one a winner", 1978): a depth-first walk writes every stream a traversal
+from a maximal-valence flag could emit, and a stream is kept only if no
+flag of the graph it encodes beats it.  Each class appears exactly once,
+because its canonical code is itself such a stream and is the only one of
+its streams that survives the competition.  The ribbon catalog and the
+labelled pairing sum still sweep labelled matchings; they are the
+independent routes the generated catalog is checked against.
 """
 
 from __future__ import annotations
@@ -135,16 +144,18 @@ def _traverse(h0, d0, valences, succ, pred, vertex_of, partner, edge_of, twists,
 
 
 def _canon(valences, succ, pred, vertex_of, partner, edge_of, twists,
-           directions=(0, 1)):
+           directions=(0, 1), best=None):
     """Canonical stream plus flag counts (all flags / positive flags).
 
     The competition runs over start flags at maximal-valence vertices in
     the given local directions; ``(0,)`` keeps positive flags only, the
-    ribbon (flip-free) competition.
+    ribbon (flip-free) competition.  Given a candidate stream ``best``
+    that one of the flags emits, the competition is a canonicity test: it
+    returns None as soon as a flag beats the candidate.
     """
+    candidate = best is not None
     n = len(partner)
     maxval = max(valences)
-    best = None
     count_all = 0
     count_plus = 0
     for h0 in range(n):
@@ -158,6 +169,8 @@ def _canon(valences, succ, pred, vertex_of, partner, edge_of, twists,
             if tied:
                 count_all += 1
                 count_plus += (d0 == 0)
+            elif candidate:
+                return None
             else:
                 best = stream
                 count_all = 1
@@ -165,34 +178,33 @@ def _canon(valences, succ, pred, vertex_of, partner, edge_of, twists,
     return tuple(best), count_all, count_plus
 
 
+def _stream_pairing(stream: Tuple[int, ...]):
+    """Partner, edge and twist arrays of the half-edges a stream labels.
+
+    Each half-edge serves as its own edge index, so ``twists`` holds an
+    edge's twist at both of its ends; tree edges are untwisted.
+    """
+    n = len(stream) - 1
+    partner = [0] * n
+    twists = [False] * n
+    next_free = -stream[0]
+    for i, tok in enumerate(stream[1:]):
+        if tok < 0:
+            partner[i], partner[next_free] = next_free, i
+            next_free -= tok
+        elif tok >> 1 > i:
+            j = tok >> 1
+            partner[i], partner[j] = j, i
+            twists[i] = twists[j] = bool(tok & 1)
+    return partner, range(n), twists
+
+
 def _graph_from_stream(stream: Tuple[int, ...]) -> MoebiusGraph:
     """Rebuild the canonical representative graph encoded by a stream."""
-    # first pass: vertex blocks in discovery order
-    blocks = [-tok for tok in stream if tok < 0]
-    rotations = _blocks(blocks)
-
-    edges: List[Tuple[int, int]] = []
-    twists: List[bool] = []
-    seen = set()
-    next_free = blocks[0]
-    block_iter = iter(blocks[1:])
-    i = 0
-    for tok in stream[1:]:
-        if tok < 0:
-            size = next(block_iter)
-            edges.append((i, next_free))
-            twists.append(False)
-            seen.add((i, next_free))
-            next_free += size
-        else:
-            j, eff = tok >> 1, tok & 1
-            lo, hi = min(i, j), max(i, j)
-            if (lo, hi) not in seen:
-                seen.add((lo, hi))
-                edges.append((lo, hi))
-                twists.append(bool(eff))
-        i += 1
-    return MoebiusGraph(rotations, edges, twists)
+    partner, _, twists = _stream_pairing(stream)
+    lower = [h for h, p in enumerate(partner) if h < p]
+    return MoebiusGraph(_blocks(-tok for tok in stream if tok < 0),
+                        [(h, partner[h]) for h in lower], [twists[h] for h in lower])
 
 
 def _stream_to_bytes(stream: Tuple[int, ...]) -> bytes:
@@ -292,7 +304,7 @@ def _blocks(sizes) -> List[Tuple[int, ...]]:
 
 
 def _layout(key: ProfileKey):
-    """Fixed half-edge layout for a profile: its rotation arrays, no edges yet."""
+    """Half-edge layout of a valence sequence: rotation arrays, no edges yet."""
     g = MoebiusGraph(_blocks(key), [], [], check=False)
     return g.rotations, g._succ, g._pred, g._vertex_of
 
@@ -319,7 +331,7 @@ def _check_budget(key: ProfileKey, budget: int) -> None:
 def _connected_matchings(rotations, vertex_of):
     """Pairings of the layout's half-edges whose vertex graph is connected.
 
-    Yields (partner, edge_of, tree), tree flagging a spanning tree's edges.
+    Yields (partner, edge_of) arrays.
     """
     n = len(vertex_of)
     untwisted = [False] * (n // 2)
@@ -329,43 +341,89 @@ def _connected_matchings(rotations, vertex_of):
         for idx, (a, b) in enumerate(pairs):
             partner[a], partner[b] = b, a
             edge_of[a] = edge_of[b] = idx
-        comp, _, tree, _ = _vertex_forest(rotations, vertex_of, partner, edge_of, untwisted)
+        comp = _vertex_forest(rotations, vertex_of, partner, edge_of, untwisted)[0]
         if max(comp) == 0:
-            yield partner, edge_of, tree
+            yield partner, edge_of
+
+
+def _bfs_streams(key: ProfileKey) -> Iterator[Tuple[int, ...]]:
+    """Every label stream ``_traverse`` can emit from a maximal-valence flag
+    of a connected graph with valence multiset ``key``.
+
+    A depth-first walk builds the stream position by position.  The start
+    vertex has maximal valence; an unmatched position i either opens a new
+    vertex of a remaining valence w (token -w, a tree edge, whose far end
+    owes the token i << 1) or pairs with a later labelled, unmatched
+    half-edge j through an edge of relative twist eff (token (j << 1) | eff,
+    j owing (i << 1) | eff); a matched position emits the token it is owed.
+    A walk that runs out of labelled half-edges before every vertex is
+    placed would be disconnected and stops.
+    """
+    n = sum(key)
+    left = Counter(key[1:])
+    stream = [-key[0]]
+    owed: List[Optional[int]] = [None] * n
+
+    def walk(i: int, labelled: int) -> Iterator[Tuple[int, ...]]:
+        if i == n:
+            yield tuple(stream)
+            return
+        if i == labelled:
+            return
+        tok = owed[i]
+        if tok is not None:
+            stream.append(tok)
+            yield from walk(i + 1, labelled)
+            stream.pop()
+            return
+        for w in left:
+            if left[w]:
+                left[w] -= 1
+                owed[labelled] = i << 1
+                stream.append(-w)
+                yield from walk(i + 1, labelled + w)
+                stream.pop()
+                owed[labelled] = None
+                left[w] += 1
+        for j in range(i + 1, labelled):
+            if owed[j] is None:
+                for eff in (0, 1):
+                    owed[j] = (i << 1) | eff
+                    stream.append((j << 1) | eff)
+                    yield from walk(i + 1, labelled)
+                    stream.pop()
+                owed[j] = None
+
+    return walk(0, key[0])
 
 
 @lru_cache(maxsize=None)
 def _connected_catalog(key: ProfileKey) -> Tuple[GraphCatalogEntry, ...]:
-    valences = key
-    rotations, succ, pred, vertex_of = _layout(key)
-
-    classes: Dict[Tuple[int, ...], GraphCatalogEntry] = {}
-    for partner, edge_of, tree in _connected_matchings(rotations, vertex_of):
-        cotree = [idx for idx, in_tree in enumerate(tree) if not in_tree]
-
-        # Twists run over the cotree only: a tree-supported toggle pattern
-        # is realized by flips, whose rotation reversals land (after
-        # relabelling) on another matching of the same sweep.  The class
-        # union over all matchings is what matters; it is checked against
-        # the full 2**e twist sweep and against the labelled pairing-sum
-        # identity in the tests.
-        twists = [False] * len(tree)
-        for bits in range(1 << len(cotree)):
-            for pos, idx in enumerate(cotree):
-                twists[idx] = bool((bits >> pos) & 1)
-            stream, count_all, count_plus = _canon(
-                valences, succ, pred, vertex_of, partner, edge_of, twists)
-            if stream in classes:
-                continue
-            rep = _graph_from_stream(stream)
-            classes[stream] = GraphCatalogEntry(
-                graph=rep,
-                code=_stream_to_bytes(stream),
-                aut_moebius=count_all,
-                aut_ribbon=_ribbon_order(count_all, count_plus) if bits == 0 else None,
-                topology=topology(rep))
-
-    return tuple(sorted(classes.values(), key=lambda entry: entry.code))
+    # Orderly generation: a class's canonical code is itself a BFS-normal
+    # stream (the one its minimal flags emit), and it is the only stream of
+    # the class that no flag of its own graph beats, so keeping the streams
+    # that win their competition yields each class exactly once.
+    layouts = {}
+    entries = []
+    for stream in _bfs_streams(key):
+        blocks = tuple(-tok for tok in stream if tok < 0)
+        if blocks not in layouts:
+            layouts[blocks] = _layout(blocks)
+        _, succ, pred, vertex_of = layouts[blocks]
+        partner, edge_of, twists = _stream_pairing(stream)
+        won = _canon(blocks, succ, pred, vertex_of, partner, edge_of, twists,
+                     best=stream)
+        if won is None:
+            continue
+        _, count_all, count_plus = won
+        rep = _graph_from_stream(stream)
+        entries.append(GraphCatalogEntry(
+            graph=rep,
+            code=_stream_to_bytes(stream),
+            aut_moebius=count_all,
+            aut_ribbon=None if any(twists) else _ribbon_order(count_all, count_plus),
+            topology=topology(rep)))
+    return tuple(sorted(entries, key=lambda entry: entry.code))
 
 
 def _subprofiles(key: ProfileKey) -> Iterator[Tuple[ProfileKey, ProfileKey]]:
@@ -458,7 +516,7 @@ def _ribbon_catalog(key: ProfileKey) -> Tuple[Tuple[bytes, int, TopologyProfile]
     rotations, succ, pred, vertex_of = _layout(key)
     untwisted = [False] * (sum(key) // 2)
     classes: Dict[Tuple[int, ...], Tuple[bytes, int, TopologyProfile]] = {}
-    for partner, edge_of, _ in _connected_matchings(rotations, vertex_of):
+    for partner, edge_of in _connected_matchings(rotations, vertex_of):
         stream, aut, _ = _canon(key, succ, pred, vertex_of, partner, edge_of,
                                 untwisted, directions=(0,))
         if stream not in classes:

@@ -105,6 +105,20 @@ def test_catalog_entries_are_canonical_and_sorted():
             assert canonical_code(e.graph) == e.code
             assert e.graph.degree_profile() == dict(
                 (j, c) for j, c in e.topology.v_profile)
+    # the connected catalog is generated, not canonicalized: recheck every
+    # entry it keeps against the flag competition run on its representative
+    for profile in list(all_profiles(4)) + [(5, 5), (4, 3, 3), (3, 3, 2, 2)]:
+        entries = enumerate_graphs(list(profile))
+        codes = [e.code for e in entries]
+        assert all(a < b for a, b in zip(codes, codes[1:])), profile
+        for e in entries:
+            assert canonical_code(e.graph) == e.code
+            assert automorphism_count(e.graph) == e.aut_moebius
+            assert topology(e.graph) == e.topology
+            if e.topology.natural == 1:
+                assert e.aut_ribbon == automorphism_count(e.graph, "ribbon")
+            else:
+                assert e.aut_ribbon is None
 
 
 def test_pairing_sum_examples():
@@ -187,7 +201,7 @@ def test_ribbon_pairing_sum_matches_ribbon_catalog():
 
 
 def test_moebius_ribbon_factor_two_small():
-    for profile in all_profiles(3):
+    for profile in list(all_profiles(3)) + [(4, 4, 4), (3, 3, 3, 3), (6, 6)]:
         cat = enumerate_graphs(list(profile))
         lhs = sum(Fraction(2, e.aut_moebius) for e in cat if e.aut_ribbon is not None)
         rhs = sum(Fraction(1, aut) for _, aut, _ in ribbon_classes(list(profile)))

@@ -242,6 +242,31 @@ def test_euler_formula_random(graph):
 
 
 @settings(max_examples=60, deadline=None)
+@given(random_graphs(max_edges=8, max_vertices=8), st.data())
+def test_canonical_code_is_an_isomorphism_invariant(graph, data):
+    code = canonical_code(graph)
+    for v in data.draw(st.lists(st.integers(0, graph.n_vertices - 1), max_size=4)):
+        graph = flip_vertex(graph, v)
+    shifts = data.draw(st.lists(st.integers(0, 15), min_size=graph.n_vertices,
+                                max_size=graph.n_vertices))
+    rotations = [r[s % len(r):] + r[:s % len(r)] for r, s in zip(graph.rotations, shifts)]
+    vertex_order = data.draw(st.permutations(range(graph.n_vertices)))
+    edge_order = data.draw(st.permutations(range(graph.n_edges)))
+    label = data.draw(st.permutations(range(graph.n_half_edges)))
+    moved = MoebiusGraph(
+        [tuple(label[h] for h in rotations[v]) for v in vertex_order],
+        [(label[graph.edges[i][0]], label[graph.edges[i][1]]) for i in edge_order],
+        [graph.twists[i] for i in edge_order])
+    assert canonical_code(moved) == code
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs(max_edges=8, max_vertices=8))
+def test_graph_json_round_trip_random(graph):
+    assert graph_from_json(graph_to_json(graph)) == graph
+
+
+@settings(max_examples=60, deadline=None)
 @given(random_graphs(max_edges=8, max_vertices=8))
 def test_poincare_dual_random(graph):
     # the catalog test in test_dualchar is exhaustive only to e = 4

@@ -1,4 +1,5 @@
-"""Smoke tests: every experiment script and every CLI subcommand parses --help."""
+"""Smoke tests: every experiment script and every CLI subcommand parses --help,
+and the census script runs end to end."""
 
 import os
 import subprocess
@@ -22,6 +23,16 @@ def test_script_help(script):
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert b"usage" in proc.stdout
+
+
+def test_census_smoke_run():
+    # builds every connected catalog to e = 3 and runs the pairing-sum check
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "census.py"),
+                           "--max-edges", "3"], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.strip()
+    assert b"-> True" in proc.stdout
 
 
 @pytest.mark.parametrize("sub", ["graphs", "expand", "mu", "oracle", "penner", "charpoly",
