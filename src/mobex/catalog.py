@@ -35,7 +35,8 @@ from math import factorial, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, UsageError
-from .graphs import MoebiusGraph, TopologyProfile, _vertex_forest, flip_vertex, topology
+from .graphs import (MoebiusGraph, TopologyProfile, _face_walks, _vertex_forest, flip_vertex,
+                     topology)
 from .npoly import NPoly
 
 HALF_EDGE_BUDGET = 16
@@ -328,6 +329,17 @@ def _check_budget(key: ProfileKey, budget: int) -> None:
                           % (profile_dict(key), n, prod(range(n - 1, 0, -2)), budget))
 
 
+def _pairings(n: int):
+    """Every matching of half-edges 0..n-1 as (edges, partner, edge_of) arrays."""
+    for pairs in _matchings(list(range(n))):
+        partner = [0] * n
+        edge_of = [0] * n
+        for idx, (a, b) in enumerate(pairs):
+            partner[a], partner[b] = b, a
+            edge_of[a] = edge_of[b] = idx
+        yield tuple(pairs), partner, edge_of
+
+
 def _connected_matchings(rotations, vertex_of):
     """Pairings of the layout's half-edges whose vertex graph is connected.
 
@@ -335,12 +347,7 @@ def _connected_matchings(rotations, vertex_of):
     """
     n = len(vertex_of)
     untwisted = [False] * (n // 2)
-    for pairs in _matchings(list(range(n))):
-        partner = [0] * n
-        edge_of = [0] * n
-        for idx, (a, b) in enumerate(pairs):
-            partner[a], partner[b] = b, a
-            edge_of[a] = edge_of[b] = idx
+    for _, partner, edge_of in _pairings(n):
         comp = _vertex_forest(rotations, vertex_of, partner, edge_of, untwisted)[0]
         if max(comp) == 0:
             yield partner, edge_of
@@ -535,8 +542,8 @@ def ribbon_classes(profile, half_edge_budget: int = HALF_EDGE_BUDGET):
 # -- labelled pairing sums ------------------------------------------------------
 
 def weight_nf(graph: MoebiusGraph) -> NPoly:
-    from .graphs import trace_faces
-    return NPoly.N(len(trace_faces(graph)))
+    """N**f, the faces counted by the flat face walk behind ``trace_faces``."""
+    return NPoly.N(len(_face_walks(graph)))
 
 
 def labeled_pairing_sum(profile, weight_rule=weight_nf, mode: str = "moebius",
@@ -549,6 +556,11 @@ def labeled_pairing_sum(profile, weight_rule=weight_nf, mode: str = "moebius",
     reproduce sum(N**f / |Aut|) over their class sets exactly
     (orbit-stabilizer), which is the self-check the catalog leans on.
 
+    Each matching's partner and edge arrays are built once and every
+    gluing is a graph that shares them and the layout's rotation arrays;
+    ``weight_rule`` sees each gluing once, and identical weights are
+    tallied and summed into one ``NPoly`` at the end.
+
     A deliberate independent route: it visits every labelled gluing and
     never canonicalizes, so the pairing-sum and orbit-stabilizer tests can
     catch a class the catalog misses or an automorphism order it miscounts.
@@ -557,8 +569,9 @@ def labeled_pairing_sum(profile, weight_rule=weight_nf, mode: str = "moebius",
         raise UsageError("mode must be 'moebius' or 'ribbon'")
     key = profile_key(profile)
     _check_budget(key, half_edge_budget)
-    rotations, _, _, _ = _layout(key)
+    layout = _layout(key)
     n = sum(key)
+    e = n // 2
 
     denom = Fraction(1)
     for j, count in profile_dict(key).items():
@@ -566,15 +579,11 @@ def labeled_pairing_sum(profile, weight_rule=weight_nf, mode: str = "moebius",
             denom *= i
         denom *= (Fraction(2 * j) if mode == "moebius" else Fraction(j)) ** count
 
+    twist_range = range(1 << e) if mode == "moebius" else range(1)
+    patterns = [tuple(bool((bits >> i) & 1) for i in range(e)) for bits in twist_range]
+    tally = Counter(weight_rule(MoebiusGraph._on_layout(layout, edges, partner, edge_of, twists))
+                    for edges, partner, edge_of in _pairings(n) for twists in patterns)
     total = NPoly.zero()
-    for pairs in _matchings(list(range(n))):
-        e = len(pairs)
-        twist_range = range(1 << e) if mode == "moebius" else range(1)
-        for bits in twist_range:
-            twists = [bool((bits >> i) & 1) for i in range(e)]
-            graph = MoebiusGraph(rotations, pairs, twists, check=False)
-            w = weight_rule(graph)
-            if not isinstance(w, NPoly):
-                w = NPoly.const(w)
-            total = total + w
+    for w, count in tally.items():
+        total = total + (w if isinstance(w, NPoly) else NPoly.const(w)) * count
     return total * (Fraction(1) / denom)

@@ -36,7 +36,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .catalog import HALF_EDGE_BUDGET, enumerate_graphs, ribbon_classes
 from .errors import UsageError, VerificationError
-from .graphs import MoebiusGraph
+from .graphs import MoebiusGraph, _face_walks
 from .npoly import NPoly, add_term, mul_terms
 from .oracle import _UNITS, MomentQuery, eigenvalue_moment
 from .series import CouplingSeries, iter_monomials
@@ -50,38 +50,26 @@ def poincare_dual(graph: MoebiusGraph) -> MoebiusGraph:
     """Dual graph on the same surface: vertices and faces exchanged."""
     if graph.n_half_edges == 0:
         raise UsageError("the edgeless graph has no dual here")
-    n = graph.n_half_edges
 
     def a_map(b: int) -> int:
         h, s = b >> 1, b & 1
         return (graph.partner(h) << 1) | (s ^ 1 ^ graph.twists[graph.edge_of(h)])
 
-    def v_map(b: int) -> int:
-        h, s = b >> 1, b & 1
-        if s:
-            return graph._succ[h] << 1
-        return (graph._pred[h] << 1) | 1
-
+    # blade 2*h + s is the face-walk state (h, s), so the dual rotations
+    # are the face walks; isolated vertices (empty walks) have no dual
     side0: List[int] = []          # dual half-edge id -> its side-0 blade
     half_of_blade: Dict[int, int] = {}
     rotations: List[Tuple[int, ...]] = []
-    seen = [False] * (2 * n)
-    for b0 in range(2 * n):
-        if seen[b0]:
+    for walk in _face_walks(graph):
+        if not walk:
             continue
         rotation = []
-        x = b0
-        while True:
+        for x in walk:
             dual_id = len(side0)
             side0.append(x)
             half_of_blade[x] = dual_id
             half_of_blade[a_map(x)] = dual_id
-            seen[x] = True
-            seen[a_map(x)] = True
             rotation.append(dual_id)
-            x = v_map(a_map(x))
-            if x == b0:
-                break
         rotations.append(tuple(rotation))
 
     edges: List[Tuple[int, int]] = []

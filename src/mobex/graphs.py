@@ -77,6 +77,19 @@ class MoebiusGraph:
         self._vertex_of = tuple(vertex_of)
         self._edge_of = tuple(edge_of)
 
+    @classmethod
+    def _on_layout(cls, layout, edges, partner, edge_of, twists) -> "MoebiusGraph":
+        """A graph that shares a prebuilt layout's rotation arrays, unchecked.
+
+        ``layout`` is (rotations, succ, pred, vertex_of); ``edges`` holds
+        (low, high) pairs and ``partner``/``edge_of`` the arrays they imply.
+        """
+        graph = cls.__new__(cls)
+        graph.rotations, graph._succ, graph._pred, graph._vertex_of = layout
+        graph.edges, graph.twists = edges, twists
+        graph._partner, graph._edge_of = partner, edge_of
+        return graph
+
     # -- basic accessors -----------------------------------------------------
 
     @property
@@ -159,67 +172,56 @@ class TopologyProfile:
             assert self.genus == 1 - self.chi
 
 
-def _face_orbits(graph: MoebiusGraph) -> List[List[State]]:
-    """Orbits of the face-walk map on (half-edge, flag) states.
+def _face_walks(graph: MoebiusGraph) -> List[List[int]]:
+    """One boundary walk per face, on flat states s = 2*h + d.
 
-    Orbits come in mirror pairs; a geometric face is one such pair.
+    The face-walk map sends the state (h, d) across the edge of h and on
+    along the rotation; its orbits come in mirror pairs, the mirror of
+    (h, d) being (partner(h), 1 - (d ^ twist)), and a geometric face is
+    one such pair.  The walk scans the states in order, follows the orbit
+    of each unvisited one on raw arrays and marks that orbit's mirror as
+    visited without walking it, so each face is walked once, from its
+    smallest state.  An orbit that is its own mirror means invalid twist
+    data.  An isolated valence-0 vertex caps off a sphere: one empty walk.
     """
     succ, pred = graph._succ, graph._pred
-    partner, edge_of = graph._partner, graph._edge_of
-    twists = graph.twists
-    n = graph.n_half_edges
-
-    seen = set()
-    orbits: List[List[State]] = []
-    for h0 in range(n):
-        for d0 in (0, 1):
-            if (h0, d0) in seen:
-                continue
-            orbit: List[State] = []
-            h, d = h0, d0
-            while (h, d) not in seen:
-                seen.add((h, d))
-                orbit.append((h, d))
-                h2 = partner[h]
-                d2 = d ^ twists[edge_of[h]]
-                h = succ[h2] if d2 == 0 else pred[h2]
-                d = d2
-            orbits.append(orbit)
-    return orbits
-
-
-def _mirror_state(graph: MoebiusGraph, state: State) -> State:
-    h, d = state
-    return graph._partner[h], 1 - (d ^ graph.twists[graph._edge_of[h]])
+    partner, edge_of, twists = graph._partner, graph._edge_of, graph.twists
+    visited = bytearray(2 * graph.n_half_edges)
+    walks: List[List[int]] = []
+    for s0 in range(len(visited)):
+        if visited[s0]:
+            continue
+        walk = []
+        mirrors = []
+        s = s0
+        while not visited[s]:
+            visited[s] = 1
+            walk.append(s)
+            p = partner[s >> 1]
+            if (s & 1) ^ twists[edge_of[p]]:
+                mirrors.append(p << 1)
+                s = (pred[p] << 1) | 1
+            else:
+                mirrors.append((p << 1) | 1)
+                s = succ[p] << 1
+        if visited[mirrors[0]]:
+            raise StructuralError("face walk is its own mirror; invalid twist data")
+        for s in mirrors:
+            visited[s] = 1
+        walks.append(walk)
+    walks.extend([] for rot in graph.rotations if not rot)
+    return walks
 
 
 def trace_faces(graph: MoebiusGraph) -> List[List[State]]:
     """Boundary walks of the cell decomposition, one walk per face.
 
     Each walk is the cyclic list of (half-edge, flag) edge-side states it
-    traverses; its length is the number of edge-sides on the face, so the
-    face is a len(walk)-gon.
+    traverses, from the face's smallest state; its length is the number of
+    edge-sides on the face, so the face is a len(walk)-gon.  The faces are
+    the flat walks of ``_face_walks`` (state 2*h + d), in its order.
     """
-    orbits = _face_orbits(graph)
-    index_of: Dict[State, int] = {}
-    for i, orb in enumerate(orbits):
-        for s in orb:
-            index_of[s] = i
-
-    faces: List[List[State]] = []
-    used = set()
-    for i, orb in enumerate(orbits):
-        if i in used:
-            continue
-        j = index_of[_mirror_state(graph, orb[0])]
-        if j == i:
-            raise StructuralError("face walk is its own mirror; invalid twist data")
-        used.add(i)
-        used.add(j)
-        faces.append(orb)
-    # an isolated valence-0 vertex caps off a sphere: one 0-gon face
-    faces.extend([] for rot in graph.rotations if not rot)
-    return faces
+    return [[(s >> 1, s & 1) for s in walk] for walk in _face_walks(graph)]
 
 
 def _vertex_forest(rotations, vertex_of, partner, edge_of, twists):
@@ -269,7 +271,7 @@ def orientability(graph: MoebiusGraph) -> int:
 
 
 def topology(graph: MoebiusGraph) -> TopologyProfile:
-    faces = trace_faces(graph)
+    faces = _face_walks(graph)
     f_prof: Dict[int, int] = {}
     for walk in faces:
         f_prof[len(walk)] = f_prof.get(len(walk), 0) + 1

@@ -24,8 +24,7 @@ with (2-b)^sigma read as 1 when b=2 and sigma=0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .errors import BudgetError, StructuralError, UsageError
 from .graphs import MoebiusGraph, TopologyProfile, topology
@@ -93,18 +92,39 @@ class MuReport:
 
 def mu_bruteforce(graph: MoebiusGraph, beta: int,
                   assignment_budget: int = MU_ASSIGNMENT_BUDGET) -> int:
-    """mu by summing over all beta**e unit assignments.
+    """mu as the signed sum over all beta**e unit assignments.
 
-    A deliberate independent route to ``mu_closed_form``: it never looks
-    at the surface, so criterion 1 (the mu invariant suite), the
-    calibration values and ``mu_report`` check the closed form against it.
+    The sum is taken vertex by vertex (see ``_unit_sweep``), which is the
+    same state sum regrouped by the distributive law.  A deliberate
+    independent route to ``mu_closed_form``: it reads only the rotations,
+    the pairing and the twists, never the surface, so criterion 1 (the mu
+    invariant suite), the calibration values and ``mu_report`` check the
+    closed form against it.  ``assignment_budget`` still bounds beta**e,
+    the number of assignments the sum stands for.
     """
     return _unit_sweep(graph, beta, assignment_budget)[0]
 
 
+# bits per packed unit: a unit index in 0..beta-1 fits in log2(beta) bits
+_UNIT_BITS = {1: 0, 2: 1, 4: 2}
+
+
 def _unit_sweep(graph: MoebiusGraph, beta: int,
                 assignment_budget: int) -> Tuple[int, int]:
-    """(mu, number of assignments with every vertex product real)."""
+    """(mu, number of assignments with every vertex product real).
+
+    A transfer over the vertices.  After some vertices are processed, a
+    state packs the units on the open edges (one end processed, the other
+    not), edge x at bit 3 + bits*x, over a low real unit +-1 (0 or 4) that
+    carries the sign so far; it maps to the number of partial assignments
+    behind it.  Processing a vertex chooses units for its fresh edges,
+    keeps the choices whose cyclic product is real (``_vertex_outcomes``),
+    multiplies in the vertex and edge signs and drops the edges it closes.
+    Each edge's unit is chosen once, so this is the full beta**e sum
+    regrouped by the distributive law, and it never reads the surface.
+    The next vertex is the one that leaves the fewest open edges, which
+    keeps the states few.  The budget still bounds beta**e.
+    """
     if beta not in (1, 2, 4):
         raise UsageError("beta must be 1, 2 or 4")
     if not graph.is_connected():
@@ -114,33 +134,82 @@ def _unit_sweep(graph: MoebiusGraph, beta: int,
         raise BudgetError("beta^e = %d exceeds assignment budget %d"
                           % (beta ** e, assignment_budget))
 
-    vertex_edge_seq: List[Tuple[int, ...]] = [
-        tuple(graph.edge_of(h) for h in rot) for rot in graph.rotations]
-    untwisted = [not t for t in graph.twists]
-    mul = _QMUL
+    bits, mask = _UNIT_BITS[beta], beta - 1
+    incident = [[graph._edge_of[h] for h in rot] for rot in graph.rotations]
+    ends = [0] * e  # processed ends per edge
+    states: Dict[int, int] = {0: 1}
+    todo = set(range(graph.n_vertices))
+    while todo:
+        v = min(todo, key=lambda w: (_open_after(incident[w], ends), w))
+        todo.remove(v)
+        seq = incident[v]
+        known = {x for x in seq if ends[x] == 1}
+        for x in seq:
+            ends[x] += 1
+        outcomes = _vertex_outcomes(seq, known, graph.twists, beta)
+        known_bits = sum(mask << (3 + bits * x) for x in known)
+        new: Dict[int, int] = {}
+        for key, count in states.items():
+            rest = key & ~known_bits
+            for added, ways in outcomes.get(key & known_bits, ()):
+                k = rest ^ added
+                new[k] = new.get(k, 0) + ways * count
+        states = new
+    plus, minus = states.get(0, 0), states.get(4, 0)
+    return plus - minus, plus + minus
 
-    total = 0
-    counted = 0
-    for units in product(range(beta), repeat=e):
-        sign = 1
-        ok = True
-        for seq in vertex_edge_seq:
-            acc = 0  # the real unit
-            for eidx in seq:
-                acc = mul[acc][units[eidx]]
-            if acc & 3:
-                ok = False
-                break
-            if acc & 4:
-                sign = -sign
-        if not ok:
-            continue
-        counted += 1
-        for eidx in range(e):
-            if units[eidx] and untwisted[eidx]:
-                sign = -sign
-        total += sign
-    return total, counted
+
+def _open_after(seq: List[int], ends: List[int]) -> int:
+    """Open-edge count change if the vertex with incident edges ``seq`` goes next."""
+    change = 0
+    for x in set(seq):
+        if ends[x] == 1:
+            change -= 1
+        elif seq.count(x) == 1:
+            change += 1
+    return change
+
+
+def _vertex_outcomes(seq: List[int], known: Set[int], twists: Sequence[bool],
+                     beta: int) -> Dict[int, List[Tuple[int, int]]]:
+    """The unit choices at one vertex whose cyclic product is real.
+
+    Walks the rotation ``seq`` (edge indices) position by position.  A
+    partial key holds the running product in its low 3 bits, whose sign
+    bit also collects the edge signs, and the unit on each edge chosen so
+    far at bit 3 + bits*x; it maps to the number of choices behind it.
+    A known (open) edge takes each unit; a fresh edge takes each unit at
+    its first end (sign -1 if untwisted and imaginary); a loop's unit is
+    read back and dropped at its second end.  Returns, keyed by the known
+    edges' packed units, the (fresh open edges' units over the sign,
+    count) pairs with a real product.
+    """
+    bits, mask, mul = _UNIT_BITS[beta], beta - 1, _QMUL
+    partial: Dict[int, int] = {0: 1}
+    chosen = set()
+    for x in seq:
+        shift = 3 + bits * x
+        new: Dict[int, int] = {}
+        if x in chosen:
+            drop = ~((mask << shift) | 7)
+            for key, count in partial.items():
+                k = (key & drop) | mul[key & 7][(key >> shift) & mask]
+                new[k] = new.get(k, 0) + count
+        else:
+            chosen.add(x)
+            flip = 0 if twists[x] or x in known else 4
+            for key, count in partial.items():
+                rest, acc = key & ~7, key & 7
+                for u in range(beta):
+                    k = rest | (u << shift) | (mul[acc][u] ^ flip if u else acc)
+                    new[k] = new.get(k, 0) + count
+        partial = new
+    known_bits = sum(mask << (3 + bits * x) for x in known)
+    outcomes: Dict[int, List[Tuple[int, int]]] = {}
+    for key, count in partial.items():
+        if not key & 3:
+            outcomes.setdefault(key & known_bits, []).append((key & ~known_bits, count))
+    return outcomes
 
 
 def mu_closed_form(profile: TopologyProfile, beta: int) -> int:

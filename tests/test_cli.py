@@ -91,6 +91,25 @@ def test_mu_subcommand(tmp_path, capsys):
     assert data["agree"] is True
 
 
+def test_mu_mismatch_exits_4_with_its_report(tmp_path, monkeypatch, capsys):
+    real = cli.sprinkle.mu_closed_form
+    monkeypatch.setattr(cli.sprinkle, "mu_closed_form",
+                        lambda profile, beta: real(profile, beta) + 1)
+    klein = MoebiusGraph([(0, 1, 2, 3)], [(0, 1), (2, 3)], [True, True])
+    path = tmp_path / "klein.json"
+    path.write_text(graph_to_json(klein))
+    code, out, err = run_cli(capsys, "mu", "--graph", str(path), "--beta", "4")
+    assert code == cli.EXIT_VERIFY
+    data = json.loads(out)
+    assert data["agree"] is False
+    assert (data["mu_bruteforce"], data["mu_closed"]) == (4, 5)
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["code"] == cli.EXIT_VERIFY
+    assert record["payload"] == data
+
+
 def test_mu_structural_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{\"rotations\": [[0]], \"edges\": [[0, 0]], \"twists\": [false]}")

@@ -38,6 +38,16 @@ def test_trace_faces_loop():
     assert len(trace_faces(twisted_loop())) == 1
 
 
+def test_trace_faces_walk_lists_are_pinned():
+    # exact states and order, from each face's smallest state
+    assert trace_faces(twisted_loop()) == [[(0, 0), (0, 1)]]
+    assert trace_faces(klein_flower()) == [[(0, 0), (0, 1), (2, 0), (2, 1)]]
+    assert trace_faces(planar_loop()) == [[(0, 0)], [(0, 1)]]
+    # an isolated vertex caps a sphere with an empty walk
+    capped = MoebiusGraph([(0, 1), ()], [(0, 1)], [False])
+    assert trace_faces(capped) == [[(0, 0)], [(0, 1)], []]
+
+
 def test_trace_faces_one_face_trivalent():
     faces = trace_faces(theta_one_face())
     assert len(faces) == 1

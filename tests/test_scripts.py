@@ -2,6 +2,7 @@
 and the census script runs end to end."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,21 @@ def test_census_smoke_run():
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.strip()
     assert b"-> True" in proc.stdout
+
+
+def test_census_exits_4_on_a_pairing_sum_mismatch(monkeypatch, capsys):
+    from mobex import catalog
+    from mobex.cli import EXIT_VERIFY
+    from mobex.npoly import NPoly
+
+    real = catalog.labeled_pairing_sum
+    monkeypatch.setattr(catalog, "labeled_pairing_sum",
+                        lambda profile, *args, **kwargs: real(profile) + NPoly.N(1))
+    monkeypatch.setattr(sys, "argv", ["census.py", "--max-edges", "1"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(ROOT / "scripts" / "census.py"), run_name="__main__")
+    assert exit_info.value.code == EXIT_VERIFY
+    assert "-> False" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("sub", ["graphs", "expand", "mu", "oracle", "penner", "charpoly",

@@ -1,4 +1,8 @@
+from itertools import product
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from mobex.catalog import enumerate_graphs
 from mobex.errors import BudgetError, StructuralError, UsageError
@@ -132,3 +136,60 @@ def test_mu_report_counts_real_configurations():
         assert report.mu_bruteforce == mu_bruteforce(graph, beta) == report.mu_closed
     with pytest.raises(BudgetError):
         mu_report(theta, 4, assignment_budget=63)
+
+
+@st.composite
+def connected_graphs(draw, max_edges=7, max_vertices=5):
+    """Connected graphs: a random spanning tree plus random further edges."""
+    n_edges = draw(st.integers(1, max_edges))
+    n_vertices = draw(st.integers(1, min(max_vertices, n_edges + 1)))
+    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n_vertices)]
+    vertex = st.integers(0, n_vertices - 1)
+    ends += [(draw(vertex), draw(vertex)) for _ in range(n_edges - len(ends))]
+    slots = [[] for _ in range(n_vertices)]
+    for i, (a, b) in enumerate(ends):
+        slots[a].append(2 * i)
+        slots[b].append(2 * i + 1)
+    rotations = [tuple(draw(st.permutations(slot))) for slot in slots]
+    twists = draw(st.lists(st.booleans(), min_size=n_edges, max_size=n_edges))
+    return MoebiusGraph(rotations, [(2 * i, 2 * i + 1) for i in range(n_edges)], twists)
+
+
+def full_sweep(graph, beta):
+    """(mu, configurations counted) by visiting all beta**e unit assignments.
+
+    The defining sum taken one assignment at a time, with no regrouping:
+    ground truth for the vertex-by-vertex transfer in mu_report.
+    """
+    alg = UnitAlgebra(beta)
+    seqs = [[graph.edge_of(h) for h in rot] for rot in graph.rotations]
+    total = counted = 0
+    for units in product(range(beta), repeat=graph.n_edges):
+        sign = 1
+        for seq in seqs:
+            acc = 0
+            for x in seq:
+                acc = alg.multiply(acc, units[x])
+            if acc & 3:
+                break
+            if acc & 4:
+                sign = -sign
+        else:
+            counted += 1
+            for x, u in enumerate(units):
+                if u and not graph.twists[x]:
+                    sign = -sign
+            total += sign
+    return total, counted
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(), st.sampled_from([2, 4]), st.data())
+def test_transfer_matches_full_sweep(graph, beta, data):
+    report = mu_report(graph, beta)
+    assert (report.mu_bruteforce, report.configurations_counted) == full_sweep(graph, beta)
+    assert mu_bruteforce(graph, beta) == mu_closed_form(topology(graph), beta)
+    # relabelling the vertices changes the order the transfer visits them in
+    order = data.draw(st.permutations(range(graph.n_vertices)))
+    moved = MoebiusGraph([graph.rotations[v] for v in order], graph.edges, graph.twists)
+    assert mu_bruteforce(moved, beta) == report.mu_bruteforce
