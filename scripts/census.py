@@ -16,15 +16,7 @@ from fractions import Fraction
 from mobex import catalog
 from mobex.cli import EXIT_VERIFY
 from mobex.npoly import NPoly
-
-
-def partitions(total, largest):
-    if total == 0:
-        yield ()
-        return
-    for part in range(min(total, largest), 0, -1):
-        for rest in partitions(total - part, part):
-            yield (part,) + rest
+from mobex.series import iter_monomials
 
 
 def main() -> int:
@@ -37,7 +29,9 @@ def main() -> int:
         by_f = Counter()
         orientable = 0
         total = 0
-        for profile in partitions(2 * e, 2 * e):
+        for profile in iter_monomials(2 * e):
+            if sum(profile) != 2 * e:
+                continue
             for entry in catalog.enumerate_graphs(list(profile)):
                 total += 1
                 by_f[entry.topology.f] += 1

@@ -15,14 +15,17 @@ structure map is fixed by the image of a single flag on a connected graph.
 Restricting the competition to positive-direction flags on an untwisted
 graph yields the ribbon (orientation-preserving) variants.
 
-The connected Moebius catalog is built by orderly generation (Read, "Every
-one a winner", 1978): a depth-first walk writes every stream a traversal
-from a maximal-valence flag could emit, and a stream is kept only if no
-flag of the graph it encodes beats it.  Each class appears exactly once,
-because its canonical code is itself such a stream and is the only one of
-its streams that survives the competition.  The ribbon catalog and the
-labelled pairing sum still sweep labelled matchings; they are the
-independent routes the generated catalog is checked against.
+Both connected catalogs are built by orderly generation (Read, "Every one
+a winner", 1978): a depth-first walk writes every stream a traversal from
+a maximal-valence flag could emit, and a stream is kept only if no flag of
+the graph it encodes beats it.  Each class appears exactly once, because
+its canonical code is itself such a stream and is the only one of its
+streams that survives the competition.  The Moebius catalog walks twisted
+streams under the full competition, the ribbon catalog untwisted streams
+under the positive-flag one.  The labelled pairing sum (both modes) sweeps
+every labelled gluing and never canonicalizes; it and the tests' own
+matching sweeps are the independent routes the catalogs are checked
+against.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from math import factorial, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, UsageError
-from .graphs import (MoebiusGraph, TopologyProfile, _face_walks, _vertex_forest, flip_vertex,
-                     topology)
+from .graphs import MoebiusGraph, TopologyProfile, _face_walks, flip_vertex, topology
 from .npoly import NPoly
 
 HALF_EDGE_BUDGET = 16
@@ -275,8 +277,8 @@ def automorphism_count(graph: MoebiusGraph, mode: str = "moebius") -> int:
             raise UsageError("ribbon automorphisms need an orientable graph")
         norm = normalize_twists(graph)
         assert not any(norm.twists)
-        _, count_all, count_plus = _canon(*_graph_arrays(norm))
-        return _ribbon_order(count_all, count_plus)
+        _, count, _ = _canon(*_graph_arrays(norm), directions=(0,))
+        return count
     raise UsageError("mode must be 'moebius' or 'ribbon'")
 
 
@@ -340,22 +342,10 @@ def _pairings(n: int):
         yield tuple(pairs), partner, edge_of
 
 
-def _connected_matchings(rotations, vertex_of):
-    """Pairings of the layout's half-edges whose vertex graph is connected.
-
-    Yields (partner, edge_of) arrays.
-    """
-    n = len(vertex_of)
-    untwisted = [False] * (n // 2)
-    for _, partner, edge_of in _pairings(n):
-        comp = _vertex_forest(rotations, vertex_of, partner, edge_of, untwisted)[0]
-        if max(comp) == 0:
-            yield partner, edge_of
-
-
-def _bfs_streams(key: ProfileKey) -> Iterator[Tuple[int, ...]]:
+def _bfs_streams(key: ProfileKey, effs: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
     """Every label stream ``_traverse`` can emit from a maximal-valence flag
-    of a connected graph with valence multiset ``key``.
+    of a connected graph with valence multiset ``key``, with the relative
+    twists ``effs`` allowed on non-tree edges (``(0,)``: untwisted only).
 
     A depth-first walk builds the stream position by position.  The start
     vertex has maximal valence; an unmatched position i either opens a new
@@ -394,7 +384,7 @@ def _bfs_streams(key: ProfileKey) -> Iterator[Tuple[int, ...]]:
                 left[w] += 1
         for j in range(i + 1, labelled):
             if owed[j] is None:
-                for eff in (0, 1):
+                for eff in effs:
                     owed[j] = (i << 1) | eff
                     stream.append((j << 1) | eff)
                     yield from walk(i + 1, labelled)
@@ -404,31 +394,39 @@ def _bfs_streams(key: ProfileKey) -> Iterator[Tuple[int, ...]]:
     return walk(0, key[0])
 
 
-@lru_cache(maxsize=None)
-def _connected_catalog(key: ProfileKey) -> Tuple[GraphCatalogEntry, ...]:
-    # Orderly generation: a class's canonical code is itself a BFS-normal
-    # stream (the one its minimal flags emit), and it is the only stream of
-    # the class that no flag of its own graph beats, so keeping the streams
-    # that win their competition yields each class exactly once.
+def _orderly(key: ProfileKey, directions: Tuple[int, ...]
+             ) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
+    """Yield (stream, count_all, count_plus) for each class of ``key``.
+
+    Orderly generation: a class's canonical code is itself a BFS-normal
+    stream (the one its minimal flags emit), and it is the only stream of
+    the class that no flag of its own graph beats, so keeping the streams
+    that win their competition yields each class exactly once.  The
+    positive-flag competition ``(0,)`` runs on untwisted streams, whose
+    relative twists are all 0.
+    """
     layouts = {}
-    entries = []
-    for stream in _bfs_streams(key):
+    for stream in _bfs_streams(key, directions):
         blocks = tuple(-tok for tok in stream if tok < 0)
         if blocks not in layouts:
             layouts[blocks] = _layout(blocks)
         _, succ, pred, vertex_of = layouts[blocks]
-        partner, edge_of, twists = _stream_pairing(stream)
-        won = _canon(blocks, succ, pred, vertex_of, partner, edge_of, twists,
-                     best=stream)
-        if won is None:
-            continue
-        _, count_all, count_plus = won
+        won = _canon(blocks, succ, pred, vertex_of, *_stream_pairing(stream),
+                     directions=directions, best=stream)
+        if won is not None:
+            yield won
+
+
+@lru_cache(maxsize=None)
+def _connected_catalog(key: ProfileKey) -> Tuple[GraphCatalogEntry, ...]:
+    entries = []
+    for stream, count_all, count_plus in _orderly(key, (0, 1)):
         rep = _graph_from_stream(stream)
         entries.append(GraphCatalogEntry(
             graph=rep,
             code=_stream_to_bytes(stream),
             aut_moebius=count_all,
-            aut_ribbon=None if any(twists) else _ribbon_order(count_all, count_plus),
+            aut_ribbon=None if any(rep.twists) else _ribbon_order(count_all, count_plus),
             topology=topology(rep)))
     return tuple(sorted(entries, key=lambda entry: entry.code))
 
@@ -460,15 +458,13 @@ def _full_catalog(key: ProfileKey) -> Tuple[GraphCatalogEntry, ...]:
                 for tail in unions(rest):
                     yield [entry] + tail
 
-    seen_multisets = set()
     for combo in unions(key):
-        fingerprint = tuple(sorted(c.code for c in combo))
-        if fingerprint in seen_multisets:
+        # a union's canonical code is its components' codes, sorted and joined
+        code = b"|".join(sorted(c.code for c in combo))
+        if code in out:
             continue
-        seen_multisets.add(fingerprint)
         if len(combo) == 1:
-            entry = combo[0]
-            out[entry.code] = entry
+            out[code] = combo[0]
             continue
         # repeated components add their permutations to either group
         sym = prod(factorial(m) for m in Counter(c.code for c in combo).values())
@@ -478,7 +474,6 @@ def _full_catalog(key: ProfileKey) -> Tuple[GraphCatalogEntry, ...]:
             # convention: value of the all-equal-orientation representative
             ribbon = sym * prod(c.aut_ribbon for c in combo)
         graph = _disjoint_union([c.graph for c in combo])
-        code = canonical_code(graph)
         out[code] = GraphCatalogEntry(
             graph=graph, code=code, aut_moebius=aut,
             aut_ribbon=ribbon, topology=topology(graph))
@@ -513,23 +508,17 @@ def enumerate_graphs(profile, connected_only: bool = True,
 
 @lru_cache(maxsize=None)
 def _ribbon_catalog(key: ProfileKey) -> Tuple[Tuple[bytes, int, TopologyProfile], ...]:
-    """Connected ribbon classes: untwisted matchings modulo rotations only.
+    """Connected ribbon classes: untwisted graphs modulo rotations only.
 
+    Generated from untwisted streams under the positive-flag competition.
     A deliberate independent route to the ribbon classes: it never builds
     the Moebius catalog nor uses its flip quotient, so criterion 9 (the
     Moebius/ribbon factor-two identity) and the ribbon orbit-stabilizer
-    and hermitian-tag tests compare two separate enumerations.
+    and hermitian-tag tests compare the class sets of two separate
+    competitions.
     """
-    rotations, succ, pred, vertex_of = _layout(key)
-    untwisted = [False] * (sum(key) // 2)
-    classes: Dict[Tuple[int, ...], Tuple[bytes, int, TopologyProfile]] = {}
-    for partner, edge_of in _connected_matchings(rotations, vertex_of):
-        stream, aut, _ = _canon(key, succ, pred, vertex_of, partner, edge_of,
-                                untwisted, directions=(0,))
-        if stream not in classes:
-            rep = _graph_from_stream(stream)
-            classes[stream] = (_stream_to_bytes(stream), aut, topology(rep))
-    return tuple(classes[s] for s in sorted(classes))
+    return tuple((_stream_to_bytes(stream), aut, topology(_graph_from_stream(stream)))
+                 for stream, aut, _ in sorted(_orderly(key, (0,))))
 
 
 def ribbon_classes(profile, half_edge_budget: int = HALF_EDGE_BUDGET):

@@ -2,10 +2,11 @@
 
 K(z, N, a) is the asymptotic expansion of the Vandermonde**(2a) one-matrix
 integral with Penner couplings, valid for integer a >= 1; J(z, N, g) covers
-the reciprocal powers 2/g.  Both are implemented from their explicit
-Bernoulli four-sum forms; the graph sum plus the dualities serve as the
-oracle for them.  Constant (z-independent) terms are dropped throughout,
-and the closed forms contain no negative z powers.
+the reciprocal powers 2/g and is the same Bernoulli four-sum at a = 1/g.
+Both are implemented from that one explicit four-sum; the graph sum plus
+the dualities serve as the oracle for them.  Constant (z-independent)
+terms are dropped throughout, and the closed forms contain no negative z
+powers.
 
 The generalized family I(z, N, r) = K(z/(rN), N, r) for integer r and
 J(z*g/N, N, g) for r = 1/g satisfies the extended duality
@@ -18,12 +19,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Dict, Iterator, Tuple
+from typing import Dict
 
 from .catalog import HALF_EDGE_BUDGET, enumerate_graphs
 from .errors import StructuralError, UsageError
 from .npoly import NPoly, add_term
-from .series import CouplingSeries
+from .series import CouplingSeries, iter_monomials
 
 
 # -- Bernoulli numbers -----------------------------------------------------------
@@ -109,13 +110,12 @@ class ZSeries:
 
 # -- closed forms ----------------------------------------------------------------
 
-def K_series(order: int, alpha: int) -> ZSeries:
-    """Four-sum Bernoulli form of the Vandermonde**(2*alpha) Penner expansion."""
-    if not isinstance(alpha, int) or alpha < 1:
-        raise UsageError("K series needs a positive integer alpha")
+def _four_sum(order: int, a: Fraction) -> ZSeries:
+    """Bernoulli four-sum for the Vandermonde power 2a, a an integer or an
+    integer's reciprocal: K(z, N, a) in the first case, J(z, N, 1/a) in
+    the second."""
     if order < 1:
         raise UsageError("order must be >= 1")
-    a = Fraction(alpha)
     out = ZSeries(order)
     for m in range(1, order + 1):
         if m % 2:
@@ -135,31 +135,18 @@ def K_series(order: int, alpha: int) -> ZSeries:
     return out
 
 
+def K_series(order: int, alpha: int) -> ZSeries:
+    """Four-sum Bernoulli form of the Vandermonde**(2*alpha) Penner expansion."""
+    if not isinstance(alpha, int) or alpha < 1:
+        raise UsageError("K series needs a positive integer alpha")
+    return _four_sum(order, Fraction(alpha))
+
+
 def J_series(order: int, gamma: int) -> ZSeries:
     """Closed form for Vandermonde power 2/gamma, positive integer gamma."""
     if not isinstance(gamma, int) or gamma < 1:
         raise UsageError("J series needs a positive integer gamma")
-    if order < 1:
-        raise UsageError("order must be >= 1")
-    g = Fraction(gamma)
-    out = ZSeries(order)
-    for m in range(1, order + 1):
-        zfac = g ** (-m)
-        if m % 2:
-            q = (m + 1) // 2
-            out.add_term(m, NPoly.N(1, bernoulli(2 * q) / Fraction(2 * q * (2 * q - 1)) / g * zfac))
-        out.add_term(m, NPoly.N(m, Fraction((-1) ** m, 4 * m) * zfac))
-        for q in range(m // 2 + 1):
-            coeff = (Fraction((-1) ** m * factorial(m - 1)) * bernoulli(2 * q)
-                     / (factorial(2 * q) * factorial(m + 1 - 2 * q)))
-            out.add_term(m, NPoly.N(m + 1 - 2 * q,
-                                    -Fraction(1, 2) * coeff * (1 - g ** (2 * q - 1)) * zfac))
-            for s in range((m + 1) // 2 - q + 1):
-                coeff4 = (Fraction((-1) ** m * factorial(m - 1)) * bernoulli(2 * q) * bernoulli(2 * s)
-                          / (factorial(2 * q) * factorial(2 * s) * factorial(m + 2 - 2 * q - 2 * s)))
-                out.add_term(m, NPoly.N(m + 2 - 2 * q - 2 * s,
-                                        -coeff4 * g ** (2 * s - 1) * zfac))
-    return out
+    return _four_sum(order, Fraction(1, gamma))
 
 
 def K1_series(order: int) -> ZSeries:
@@ -203,15 +190,9 @@ def K2_series(order: int) -> ZSeries:
 def I_series(order: int, r) -> ZSeries:
     """K(z/(rN), N, r) for integer r; J(z*g/N, N, g) for r = 1/g."""
     r = Fraction(r)
-    if r >= 1:
-        if r.denominator != 1:
-            raise UsageError("r must be a positive integer or its reciprocal")
-        alpha = int(r)
-        return K_series(order, alpha).shift_N_per_z(Fraction(1, alpha))
-    if r.numerator != 1:
+    if r <= 0 or (r.numerator != 1 and r.denominator != 1):
         raise UsageError("r must be a positive integer or its reciprocal")
-    gamma = int(1 / r)
-    return J_series(order, gamma).shift_N_per_z(gamma)
+    return _four_sum(order, r).shift_N_per_z(1 / r)
 
 
 def extended_duality_gap(order: int, r) -> ZSeries:
@@ -285,23 +266,6 @@ def real_moduli_euler(q: int, n: int) -> Fraction:
             * bernoulli(2 * q) / (factorial(2 * q) * factorial(n)))
 
 
-def _penner_profiles(excess: int) -> Iterator[Tuple[int, ...]]:
-    """Valence multisets with all j >= 3 and e - v = excess."""
-    for v in range(1, 2 * excess + 1):
-        total = 2 * (v + excess)
-
-        def parts(budget: int, slots: int, mx: int) -> Iterator[Tuple[int, ...]]:
-            if slots == 0:
-                if budget == 0:
-                    yield ()
-                return
-            for j in range(min(budget - 3 * (slots - 1), mx), 2, -1):
-                for rest in parts(budget - j, slots - 1, j):
-                    yield (j,) + rest
-
-        yield from parts(total, v, total)
-
-
 def real_moduli_graph_sum(q: int, n: int,
                           half_edge_budget: int = HALF_EDGE_BUDGET) -> Fraction:
     """sum of (-1)**e / |Aut| over connected non-orientable Moebius graphs
@@ -311,7 +275,10 @@ def real_moduli_graph_sum(q: int, n: int,
     excess = 2 * q + n - 1  # e - v = f - chi
     chi = 1 - 2 * q
     total = Fraction(0)
-    for profile in _penner_profiles(excess):
+    # valence multisets with all j >= 3 and e - v = excess, so 2e <= 6 * excess
+    for profile in iter_monomials(6 * excess, allowed=lambda j: j >= 3):
+        if sum(profile) // 2 - len(profile) != excess:
+            continue
         for entry in enumerate_graphs(list(profile), connected_only=True,
                                       half_edge_budget=half_edge_budget):
             topo = entry.topology

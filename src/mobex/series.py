@@ -270,6 +270,8 @@ def expand_logZ(tag: str, degree: int, beta: Optional[int] = None,
     Monomials are summed by ``threads`` workers; the result never depends
     on their number.
     """
+    if threads < 1:
+        raise UsageError("threads must be >= 1, got %d" % threads)
     beta = _validate_tag(tag, beta)
     monomials = tag_monomials(tag, degree, include_t1, include_t2)
     needed = degree - degree % 2

@@ -140,36 +140,41 @@ def test_pairing_sum_matches_catalog():
         assert lhs == rhs, profile
 
 
+def connected_pairings(key):
+    """Layout arrays plus every labelled matching of ``key`` whose vertex
+    graph is connected, as (pairs, partner, edge_of)."""
+    from mobex.catalog import _layout, _pairings
+
+    rotations, succ, pred, vertex_of = _layout(key)
+    n_vert = len(key)
+    matchings = []
+    for pairs, partner, edge_of in _pairings(sum(key)):
+        seen = [False] * n_vert
+        seen[0] = True
+        stack = [0]
+        reached = 1
+        while stack:
+            v = stack.pop()
+            for h in rotations[v]:
+                w = vertex_of[partner[h]]
+                if not seen[w]:
+                    seen[w] = True
+                    reached += 1
+                    stack.append(w)
+        if reached == n_vert:
+            matchings.append((pairs, partner, edge_of))
+    return (succ, pred, vertex_of), matchings
+
+
 def test_catalog_matches_full_twist_sweep():
     # ground truth: every labelled (matching, twists) object, no cotree
     # restriction; class sets must agree exactly
-    from mobex.catalog import _canon, _layout, _matchings
+    from mobex.catalog import _canon
 
     def full_twist_classes(key):
-        rotations, succ, pred, vertex_of = _layout(key)
-        n_vert = len(key)
-        n = sum(key)
+        (succ, pred, vertex_of), matchings = connected_pairings(key)
         classes = set()
-        for pairs in _matchings(list(range(n))):
-            partner = [0] * n
-            edge_of = [0] * n
-            for idx, (a, b) in enumerate(pairs):
-                partner[a], partner[b] = b, a
-                edge_of[a] = edge_of[b] = idx
-            seen = [False] * n_vert
-            seen[0] = True
-            stack = [0]
-            reached = 1
-            while stack:
-                v = stack.pop()
-                for h in rotations[v]:
-                    w = vertex_of[partner[h]]
-                    if not seen[w]:
-                        seen[w] = True
-                        reached += 1
-                        stack.append(w)
-            if reached != n_vert:
-                continue
+        for pairs, partner, edge_of in matchings:
             e = len(pairs)
             twists = [False] * e
             for bits in range(1 << e):
@@ -189,10 +194,33 @@ def test_catalog_matches_full_twist_sweep():
         assert ground == fast, profile
 
 
+def test_ribbon_catalog_matches_matching_sweep():
+    # ground truth: every connected untwisted labelled matching under the
+    # positive-flag competition; the generated ribbon catalog must list the
+    # same classes, automorphism orders and topologies in the same order
+    from mobex.catalog import _canon, _graph_from_stream, _stream_to_bytes
+
+    def matching_sweep(key):
+        (succ, pred, vertex_of), matchings = connected_pairings(key)
+        untwisted = [False] * (sum(key) // 2)
+        classes = {}
+        for _, partner, edge_of in matchings:
+            stream, aut, _ = _canon(key, succ, pred, vertex_of, partner, edge_of,
+                                    untwisted, directions=(0,))
+            if stream not in classes:
+                classes[stream] = (_stream_to_bytes(stream), aut,
+                                   topology(_graph_from_stream(stream)))
+        return [classes[s] for s in sorted(classes)]
+
+    for profile in list(all_profiles(4)) + [(5, 5), (4, 3, 3)]:
+        key = profile_key(list(profile))
+        assert ribbon_classes(list(profile)) == matching_sweep(key), profile
+
+
 def test_ribbon_pairing_sum_matches_ribbon_catalog():
     # profiles whose valence multisets admit no even-sum splitting, so every
     # labelled gluing is connected and the catalog covers the whole sum
-    for profile in ((3, 3), (4,), (5, 3), (6,)):
+    for profile in ((3, 3), (4,), (5, 3), (6,), (5, 5), (7, 3), (8,)):
         lhs = labeled_pairing_sum(list(profile), mode="ribbon")
         rhs = NPoly.zero()
         for code, aut, topo in ribbon_classes(list(profile)):

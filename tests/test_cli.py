@@ -357,6 +357,8 @@ def test_missing_input_file_is_structural(tmp_path, capsys):
 FAILURE_CONTRACT = [
     ("graphs --profile 3:x", cli.EXIT_USAGE),
     ("expand --tag hermitian --beta 1 --max-degree 4", cli.EXIT_USAGE),
+    ("expand --beta 1 --max-degree 4 --threads 0", cli.EXIT_USAGE),
+    ("expand --beta 1 --max-degree 4 --threads -3", cli.EXIT_USAGE),
     ("oracle --beta 3 --n 2", cli.EXIT_USAGE),
     ("oracle mc --beta 1 --n 2 --powers x", cli.EXIT_USAGE),
     ("oracle mc --beta 1 --n 2 --powers 2,", cli.EXIT_USAGE),

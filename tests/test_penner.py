@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from mobex.errors import StructuralError, UsageError
 from mobex.npoly import NPoly
 from mobex.penner import (I_series, J_series, K1_series, K2_series, K_series,
-                          bernoulli, extended_duality_gap, goe_penner_zseries,
+                          ZSeries, bernoulli, extended_duality_gap, goe_penner_zseries,
                           gse_penner_zseries, nonorientable_remainder,
                           penner_substitute, real_moduli_euler,
                           real_moduli_graph_sum)
@@ -41,6 +42,37 @@ def test_closed_form_identities_to_z10():
     assert K_series(10, 1) == K1_series(10)
     assert K_series(10, 2) == K2_series(10)
     assert J_series(10, 1) == K_series(10, 1)
+
+
+def test_J_equals_its_own_four_sum_to_z30():
+    # J's Bernoulli four-sum written out in powers of gamma: a second form
+    # of the K four-sum at alpha = 1/gamma, whose odd-m N**1 terms differ
+    # term by term and agree only in sum
+    def j_four_sum(order, gamma):
+        g = Fraction(gamma)
+        out = ZSeries(order)
+        for m in range(1, order + 1):
+            zfac = g ** (-m)
+            if m % 2:
+                q = (m + 1) // 2
+                out.add_term(m, NPoly.N(1, bernoulli(2 * q) / Fraction(2 * q * (2 * q - 1))
+                                        / g * zfac))
+            out.add_term(m, NPoly.N(m, Fraction((-1) ** m, 4 * m) * zfac))
+            for q in range(m // 2 + 1):
+                coeff = (Fraction((-1) ** m * factorial(m - 1)) * bernoulli(2 * q)
+                         / (factorial(2 * q) * factorial(m + 1 - 2 * q)))
+                out.add_term(m, NPoly.N(m + 1 - 2 * q,
+                                        -Fraction(1, 2) * coeff * (1 - g ** (2 * q - 1)) * zfac))
+                for s in range((m + 1) // 2 - q + 1):
+                    coeff4 = (Fraction((-1) ** m * factorial(m - 1)) * bernoulli(2 * q)
+                              * bernoulli(2 * s) / (factorial(2 * q) * factorial(2 * s)
+                                                    * factorial(m + 2 - 2 * q - 2 * s)))
+                    out.add_term(m, NPoly.N(m + 2 - 2 * q - 2 * s,
+                                            -coeff4 * g ** (2 * s - 1) * zfac))
+        return out
+
+    for gamma in range(1, 6):
+        assert J_series(30, gamma) == j_four_sum(30, gamma), gamma
 
 
 def test_remainder_sign_relation():
