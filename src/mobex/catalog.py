@@ -22,10 +22,12 @@ the graph it encodes beats it.  Each class appears exactly once, because
 its canonical code is itself such a stream and is the only one of its
 streams that survives the competition.  The Moebius catalog walks twisted
 streams under the full competition, the ribbon catalog untwisted streams
-under the positive-flag one.  The labelled pairing sum (both modes) sweeps
-every labelled gluing and never canonicalizes; it and the tests' own
-matching sweeps are the independent routes the catalogs are checked
-against.
+under the positive-flag one.  The labelled pairing sum (both modes) visits
+every labelled gluing on one depth-first gluing tree, where gluings that
+share a prefix share its work, and never canonicalizes; it counts faces by
+joining the face map's open paths edge by edge, independently of the
+graph module's face walk.  It and the tests' own matching sweeps are the
+independent routes the catalogs are checked against.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import BudgetError, UsageError
-from .graphs import MoebiusGraph, TopologyProfile, _face_walks, flip_vertex, topology
+from .errors import BudgetError, StructuralError, UsageError
+from .graphs import MoebiusGraph, TopologyProfile, flip_vertex, topology
 from .npoly import NPoly
 
 HALF_EDGE_BUDGET = 16
@@ -312,34 +314,24 @@ def _layout(key: ProfileKey):
     return g.rotations, g._succ, g._pred, g._vertex_of
 
 
-def _matchings(items: List[int]) -> Iterator[List[Tuple[int, int]]]:
-    if not items:
-        yield []
-        return
-    a = items[0]
-    for i in range(1, len(items)):
-        b = items[i]
-        rest = items[1:i] + items[i + 1:]
-        for tail in _matchings(rest):
-            yield [(a, b)] + tail
+def _check_budget(key: ProfileKey, budget: int, twist_patterns: Optional[int] = None) -> None:
+    """Refuse more than ``budget`` half-edges, naming the predicted cost.
 
-
-def _check_budget(key: ProfileKey, budget: int) -> None:
+    With ``twist_patterns`` the cost is the labelled gluings a pairing sum
+    would visit, (n-1)!! matchings times that many twist patterns.
+    """
     n = sum(key)
     if n > budget:
-        raise BudgetError("profile %s needs %d half-edges (%d matchings), budget is %d"
-                          % (profile_dict(key), n, prod(range(n - 1, 0, -2)), budget))
-
-
-def _pairings(n: int):
-    """Every matching of half-edges 0..n-1 as (edges, partner, edge_of) arrays."""
-    for pairs in _matchings(list(range(n))):
-        partner = [0] * n
-        edge_of = [0] * n
-        for idx, (a, b) in enumerate(pairs):
-            partner[a], partner[b] = b, a
-            edge_of[a] = edge_of[b] = idx
-        yield tuple(pairs), partner, edge_of
+        matchings = prod(range(n - 1, 0, -2))
+        if twist_patterns is None:
+            cost = "%d matchings" % matchings
+        elif twist_patterns == 1:
+            cost = "%d untwisted labelled gluings" % matchings
+        else:
+            cost = "%d labelled gluings: %d matchings x %d twist patterns" % (
+                matchings * twist_patterns, matchings, twist_patterns)
+        raise BudgetError("profile %s needs %d half-edges (%s), budget is %d"
+                          % (profile_dict(key), n, cost, budget))
 
 
 def _bfs_streams(key: ProfileKey, effs: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
@@ -530,49 +522,81 @@ def ribbon_classes(profile, half_edge_budget: int = HALF_EDGE_BUDGET):
 
 # -- labelled pairing sums ------------------------------------------------------
 
-def weight_nf(graph: MoebiusGraph) -> NPoly:
-    """N**f, the faces counted by the flat face walk behind ``trace_faces``."""
-    return NPoly.N(len(_face_walks(graph)))
-
-
-def labeled_pairing_sum(profile, weight_rule=weight_nf, mode: str = "moebius",
+def labeled_pairing_sum(profile, mode: str = "moebius",
                         half_edge_budget: int = HALF_EDGE_BUDGET) -> NPoly:
-    """Sum over all labelled gluings, divided by the layout symmetry order.
+    """Sum of N**f over all labelled gluings, divided by the layout symmetry order.
 
     Moebius mode runs over matchings times twist assignments with symmetry
     order prod_j v_j! (2j)**v_j; ribbon mode keeps only untwisted matchings
-    with the flip-free order prod_j v_j! j**v_j.  With the weight N**f both
-    reproduce sum(N**f / |Aut|) over their class sets exactly
-    (orbit-stabilizer), which is the self-check the catalog leans on.
+    with the flip-free order prod_j v_j! j**v_j.  Both reproduce
+    sum(N**f / |Aut|) over their class sets exactly (orbit-stabilizer).
 
-    Each matching's partner and edge arrays are built once and every
-    gluing is a graph that shares them and the layout's rotation arrays;
-    ``weight_rule`` sees each gluing once, and identical weights are
-    tallied and summed into one ``NPoly`` at the end.
+    The gluings are the leaves of one depth-first tree, so gluings that
+    share a prefix share its work: each step pairs the smallest free
+    half-edge a with a later free b at each allowed twist t and adds that
+    edge's four face-map arrows on the flat states 2*h + d (convention of
+    ``graphs._face_walks``: (a, d) goes to (pred[b], 1) if d ^ t, else to
+    (succ[b], 0), and likewise from b).  An arrow either joins two open
+    paths, kept as ``head``/``tail`` arrays of their ends and undone on
+    backtrack, or closes a cycle.  The face map's orbits come in mirror
+    pairs, so a leaf's cycle count is twice its face count.
 
-    A deliberate independent route: it visits every labelled gluing and
-    never canonicalizes, so the pairing-sum and orbit-stabilizer tests can
-    catch a class the catalog misses or an automorphism order it miscounts.
+    A deliberate independent route: it never canonicalizes and counts
+    faces without ``_face_walks``, so the pairing-sum and orbit-stabilizer
+    tests can catch a class the catalog misses, an automorphism order it
+    miscounts or a face walk that drifts.
     """
     if mode not in ("moebius", "ribbon"):
         raise UsageError("mode must be 'moebius' or 'ribbon'")
     key = profile_key(profile)
-    _check_budget(key, half_edge_budget)
-    layout = _layout(key)
+    twist_bits = (0, 1) if mode == "moebius" else (0,)
     n = sum(key)
-    e = n // 2
+    _check_budget(key, half_edge_budget, len(twist_bits) ** (n // 2))
+    _, succ, pred, _ = _layout(key)
+    to_succ = [2 * succ[h] for h in range(n)]
+    to_pred = [2 * pred[h] + 1 for h in range(n)]
+    head = list(range(2 * n))  # at a path's last state: its first state
+    tail = list(range(2 * n))  # at a path's first state: its last state
+    free = [True] * n
+    tally = [0] * (n + 1)
 
-    denom = Fraction(1)
+    def glue(a: int, left: int, cycles: int) -> None:
+        while not free[a]:
+            a += 1
+        free[a] = False
+        for b in range(a + 1, n):
+            if not free[b]:
+                continue
+            free[b] = False
+            sa, pa, sb, pb = to_succ[a], to_pred[a], to_succ[b], to_pred[b]
+            for t in twist_bits:
+                arrows = (((2 * a, pb), (2 * a + 1, sb), (2 * b, pa), (2 * b + 1, sa)) if t
+                          else ((2 * a, sb), (2 * a + 1, pb), (2 * b, sa), (2 * b + 1, pa)))
+                closed = cycles
+                joined = []
+                for x, y in arrows:
+                    first = head[x]
+                    if first == y:
+                        closed += 1
+                    else:
+                        last = tail[y]
+                        tail[first] = last
+                        head[last] = first
+                        joined.append((x, y))
+                if left > 2:
+                    glue(a + 1, left - 2, closed)
+                elif closed & 1:
+                    raise StructuralError("face walk is its own mirror; invalid twist data")
+                else:
+                    tally[closed >> 1] += 1
+                for x, y in reversed(joined):
+                    tail[head[x]] = x
+                    head[tail[y]] = y
+            free[b] = True
+        free[a] = True
+
+    glue(0, n, 0)
+    denom = 1
     for j, count in profile_dict(key).items():
-        for i in range(2, count + 1):
-            denom *= i
-        denom *= (Fraction(2 * j) if mode == "moebius" else Fraction(j)) ** count
-
-    twist_range = range(1 << e) if mode == "moebius" else range(1)
-    patterns = [tuple(bool((bits >> i) & 1) for i in range(e)) for bits in twist_range]
-    tally = Counter(weight_rule(MoebiusGraph._on_layout(layout, edges, partner, edge_of, twists))
-                    for edges, partner, edge_of in _pairings(n) for twists in patterns)
-    total = NPoly.zero()
-    for w, count in tally.items():
-        total = total + (w if isinstance(w, NPoly) else NPoly.const(w)) * count
-    return total * (Fraction(1) / denom)
+        denom *= factorial(count) * (2 * j if mode == "moebius" else j) ** count
+    return NPoly({(f, 0): Fraction(count, denom) for f, count in enumerate(tally) if count})

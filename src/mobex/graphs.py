@@ -77,19 +77,6 @@ class MoebiusGraph:
         self._vertex_of = tuple(vertex_of)
         self._edge_of = tuple(edge_of)
 
-    @classmethod
-    def _on_layout(cls, layout, edges, partner, edge_of, twists) -> "MoebiusGraph":
-        """A graph that shares a prebuilt layout's rotation arrays, unchecked.
-
-        ``layout`` is (rotations, succ, pred, vertex_of); ``edges`` holds
-        (low, high) pairs and ``partner``/``edge_of`` the arrays they imply.
-        """
-        graph = cls.__new__(cls)
-        graph.rotations, graph._succ, graph._pred, graph._vertex_of = layout
-        graph.edges, graph.twists = edges, twists
-        graph._partner, graph._edge_of = partner, edge_of
-        return graph
-
     # -- basic accessors -----------------------------------------------------
 
     @property

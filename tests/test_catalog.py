@@ -1,5 +1,7 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import factorial
 
 import pytest
 
@@ -7,7 +9,7 @@ from mobex.catalog import (automorphism_count, canonical_code, enumerate_graphs,
                            labeled_pairing_sum, normalize_twists, profile_key,
                            ribbon_classes)
 from mobex.errors import BudgetError, UsageError
-from mobex.graphs import MoebiusGraph, flip_vertex, topology
+from mobex.graphs import MoebiusGraph, _face_walks, flip_vertex, topology
 from mobex.npoly import NPoly
 
 
@@ -21,6 +23,53 @@ def all_profiles(e_max):
                 yield (k,) + rest
     for e in range(1, e_max + 1):
         yield from parts(2 * e, 2 * e)
+
+
+def _matchings(items):
+    if not items:
+        yield []
+        return
+    a = items[0]
+    for i in range(1, len(items)):
+        rest = items[1:i] + items[i + 1:]
+        for tail in _matchings(rest):
+            yield [(a, items[i])] + tail
+
+
+def _pairings(n):
+    """Every matching of half-edges 0..n-1 as (edges, partner, edge_of) arrays."""
+    for pairs in _matchings(list(range(n))):
+        partner = [0] * n
+        edge_of = [0] * n
+        for idx, (a, b) in enumerate(pairs):
+            partner[a], partner[b] = b, a
+            edge_of[a] = edge_of[b] = idx
+        yield tuple(pairs), partner, edge_of
+
+
+def pairing_sweep(profile, weight, mode="moebius"):
+    """Reference for ``labeled_pairing_sum``: ``weight`` (an NPoly) of every
+    labelled gluing, built as a graph one at a time, summed over the layout
+    symmetry order."""
+    from mobex.catalog import _blocks
+
+    key = profile_key(list(profile))
+    e = sum(key) // 2
+    rotations = _blocks(key)
+    patterns = list(product((False, True), repeat=e)) if mode == "moebius" else [(False,) * e]
+    tally = Counter(weight(MoebiusGraph(rotations, pairs, twists))
+                    for pairs, _, _ in _pairings(sum(key)) for twists in patterns)
+    denom = 1
+    for j, count in Counter(key).items():
+        denom *= factorial(count) * (2 * j if mode == "moebius" else j) ** count
+    total = NPoly.zero()
+    for w, count in tally.items():
+        total = total + w * count
+    return total * Fraction(1, denom)
+
+
+def faces_weight(graph):
+    return NPoly.N(len(_face_walks(graph)))
 
 
 def test_profile_validation():
@@ -128,10 +177,22 @@ def test_pairing_sum_examples():
     assert labeled_pairing_sum({1: 2}) == NPoly({(1, 0): quarter})
 
 
+def test_pairing_sum_matches_per_gluing_face_walks():
+    # the shared gluing tree's face count against one face walk per
+    # labelled gluing, exactly, in both modes
+    cases = [(p, mode) for p in all_profiles(4) for mode in ("moebius", "ribbon")]
+    cases += [((10,), "moebius"), ((4, 3, 3), "moebius"), ((5, 3, 1, 1), "moebius"),
+              ((5, 5), "ribbon")]
+    for profile, mode in cases:
+        expected = pairing_sweep(profile, faces_weight, mode)
+        assert labeled_pairing_sum(list(profile), mode=mode) == expected, (profile, mode)
+
+
 def test_pairing_sum_matches_catalog():
     # exact per-profile certificate: a class missing from the catalog would
     # leave a strictly positive gap (all weights are positive)
-    profiles = list(all_profiles(4)) + [(10,), (4, 3, 3), (2, 2, 3, 3), (5, 3, 1, 1)]
+    profiles = list(all_profiles(4)) + [(10,), (4, 3, 3), (2, 2, 3, 3), (5, 3, 1, 1),
+                                        (4, 4, 4)]
     for profile in profiles:
         lhs = labeled_pairing_sum(list(profile))
         rhs = NPoly.zero()
@@ -143,7 +204,7 @@ def test_pairing_sum_matches_catalog():
 def connected_pairings(key):
     """Layout arrays plus every labelled matching of ``key`` whose vertex
     graph is connected, as (pairs, partner, edge_of)."""
-    from mobex.catalog import _layout, _pairings
+    from mobex.catalog import _layout
 
     rotations, succ, pred, vertex_of = _layout(key)
     n_vert = len(key)
@@ -251,8 +312,8 @@ def test_orbit_stabilizer_on_classes():
         cat = enumerate_graphs(list(profile), connected_only=False)
         for target in cat:
             def indicator(graph, code=target.code):
-                return 1 if canonical_code(graph) == code else 0
-            value = labeled_pairing_sum(list(profile), weight_rule=indicator)
+                return NPoly.const(1 if canonical_code(graph) == code else 0)
+            value = pairing_sweep(profile, indicator)
             assert value == NPoly.const(Fraction(1, target.aut_moebius))
 
 
@@ -330,6 +391,15 @@ def test_budget_error():
         enumerate_graphs({3: 20})
     with pytest.raises(BudgetError):
         enumerate_graphs({3: 6}, half_edge_budget=10)
+
+
+def test_pairing_sum_budget_error_names_the_gluings():
+    # 17!! matchings, times 2**9 twist patterns in Moebius mode
+    with pytest.raises(BudgetError, match=r"\(17643225600 labelled gluings: "
+                                          r"34459425 matchings x 512 twist patterns\)"):
+        labeled_pairing_sum([18])
+    with pytest.raises(BudgetError, match=r"\(34459425 untwisted labelled gluings\)"):
+        labeled_pairing_sum([18], mode="ribbon")
 
 
 from hypothesis import given, settings
