@@ -20,14 +20,18 @@ a winner", 1978): a depth-first walk writes every stream a traversal from
 a maximal-valence flag could emit, and a stream is kept only if no flag of
 the graph it encodes beats it.  Each class appears exactly once, because
 its canonical code is itself such a stream and is the only one of its
-streams that survives the competition.  The Moebius catalog walks twisted
-streams under the full competition, the ribbon catalog untwisted streams
-under the positive-flag one.  The labelled pairing sum (both modes) visits
-every labelled gluing on one depth-first gluing tree, where gluings that
-share a prefix share its work, and never canonicalizes; it counts faces by
-joining the face map's open paths edge by edge, independently of the
-graph module's face walk.  It and the tests' own matching sweeps are the
-independent routes the catalogs are checked against.
+streams that survives the competition.  The walk keeps the arrays of the
+graph a stream encodes live, so each stream is tested in place: the flag
+that emitted it ties without a traversal, and every other flag stops at
+its first token that differs from the stream.  The Moebius catalog walks
+twisted streams under the full competition, the ribbon catalog untwisted
+streams under the positive-flag one.  The labelled pairing sum (both
+modes) visits every labelled gluing on one depth-first gluing tree, where
+gluings that share a prefix share its work, and never canonicalizes; it
+counts faces by joining the face map's open paths edge by edge,
+independently of the graph module's face walk.  It and the tests' own
+matching sweeps are the independent routes the catalogs are checked
+against.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from math import factorial, floor, lgamma, log, log10, prod
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetError, StructuralError, UsageError
 from .graphs import MoebiusGraph, TopologyProfile, flip_vertex, topology
@@ -50,30 +54,28 @@ ProfileKey = Tuple[int, ...]  # valence multiset, sorted descending
 
 # -- degree profiles ----------------------------------------------------------
 
+def profile_dict(profile) -> Dict[int, int]:
+    """Validated {valence: count} of a dict or a valence sequence, by
+    descending valence, with no count expanded into a list."""
+    if isinstance(profile, dict):
+        if any(j < 1 or count < 0 for j, count in profile.items()):
+            raise UsageError("valences must be >= 1 with non-negative counts")
+        counts = profile
+    else:
+        counts = Counter(profile)
+        if any(j < 1 for j in counts):
+            raise UsageError("valences must be >= 1")
+    out = {j: counts[j] for j in sorted(counts, reverse=True) if counts[j]}
+    if not out:
+        raise UsageError("a degree profile needs at least one vertex")
+    if sum(j * count for j, count in out.items()) % 2:
+        raise UsageError("total valence must be even (half-edges pair up)")
+    return out
+
+
 def profile_key(profile) -> ProfileKey:
     """Normalize {valence: count} dicts or valence sequences to a sorted tuple."""
-    if isinstance(profile, dict):
-        valences: List[int] = []
-        for j, count in profile.items():
-            if j < 1 or count < 0:
-                raise UsageError("valences must be >= 1 with non-negative counts")
-            valences.extend([j] * count)
-    else:
-        valences = list(profile)
-    if not valences:
-        raise UsageError("a degree profile needs at least one vertex")
-    if any(j < 1 for j in valences):
-        raise UsageError("valences must be >= 1")
-    if sum(valences) % 2:
-        raise UsageError("total valence must be even (half-edges pair up)")
-    return tuple(sorted(valences, reverse=True))
-
-
-def profile_dict(key: ProfileKey) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for j in key:
-        out[j] = out.get(j, 0) + 1
-    return out
+    return tuple(j for j, count in profile_dict(profile).items() for _ in range(count))
 
 
 @dataclass(frozen=True)
@@ -92,60 +94,62 @@ def _graph_arrays(graph: MoebiusGraph):
             graph._vertex_of, graph._partner, graph._edge_of, graph.twists)
 
 
-def _traverse(h0, d0, valences, succ, pred, vertex_of, partner, edge_of, twists, best):
-    """Emit the label stream for the flag (h0, d0).
+def _traverse(h0, d0, valences, succ, pred, vertex_of, partner, edge_of, twists,
+              best, candidate):
+    """Compare the label stream of the flag (h0, d0) with ``best``, token by token.
 
-    Returns (stream, tied) where tied means equal to ``best``; returns
-    (None, False) as soon as the stream exceeds ``best``.
+    Returns (1, None) at the first token above ``best`` and (0, None) when
+    the stream equals it, building no output list for either.  At the
+    first token below ``best`` a canonicity test (``candidate``) returns
+    (-1, None) at once; otherwise the stream is finished from the shared
+    prefix and returned as (-1, stream).  With no ``best`` the whole stream
+    comes back as (-1, stream).  Start flags sit at maximal-valence
+    vertices, so the first token always ties.
     """
     n = len(partner)
     label = [-1] * n
     order = [0] * n
     dirv = [0] * len(valences)
-    out = []
-    better = best is None
-
-    def push(tok, k):
-        nonlocal better
-        if not better:
-            ref = best[k]
-            if tok > ref:
-                return False
-            if tok < ref:
-                better = True
-        out.append(tok)
-        return True
-
-    def discover(h, d, base):
-        v = vertex_of[h]
-        dirv[v] = d
-        cur = h
-        step = succ if d == 0 else pred
-        for i in range(valences[v]):
-            label[cur] = base + i
-            order[base + i] = cur
-            cur = step[cur]
-
-    v0 = vertex_of[h0]
-    if not push(-valences[v0], 0):
-        return None, False
-    discover(h0, d0, 0)
-    next_free = valences[v0]
+    v = vertex_of[h0]
+    dirv[v] = d0
+    step = pred if d0 else succ
+    h = h0
+    for k in range(valences[v]):
+        label[h] = k
+        order[k] = h
+        h = step[h]
+    next_free = valences[v]
+    out = None if best is not None else [-valences[v]]
 
     for i in range(n):
         h = order[i]
         p = partner[h]
         if label[p] == -1:
-            d2 = dirv[vertex_of[h]] ^ twists[edge_of[h]]
-            if not push(-valences[vertex_of[p]], i + 1):
-                return None, False
-            discover(p, d2, next_free)
-            next_free += valences[vertex_of[p]]
+            tok = -valences[vertex_of[p]]
         else:
-            eff = twists[edge_of[h]] ^ dirv[vertex_of[h]] ^ dirv[vertex_of[p]]
-            if not push((label[p] << 1) | eff, i + 1):
-                return None, False
-    return out, not better
+            tok = (label[p] << 1) | (twists[edge_of[h]] ^ dirv[vertex_of[h]]
+                                     ^ dirv[vertex_of[p]])
+        if out is not None:
+            out.append(tok)
+        elif tok != best[i + 1]:
+            if tok > best[i + 1]:
+                return 1, None
+            if candidate:
+                return -1, None
+            out = list(best[:i + 1])
+            out.append(tok)
+        if tok < 0:
+            # a tree edge: label the new vertex from p on, in its direction
+            v = vertex_of[p]
+            d = dirv[vertex_of[h]] ^ twists[edge_of[h]]
+            dirv[v] = d
+            step = pred if d else succ
+            for k in range(next_free, next_free + valences[v]):
+                label[p] = k
+                order[k] = p
+                p = step[p]
+            next_free += valences[v]
+    return (0, None) if out is None else (-1, out)
 
 
 def _canon(valences, succ, pred, vertex_of, partner, edge_of, twists,
@@ -154,24 +158,28 @@ def _canon(valences, succ, pred, vertex_of, partner, edge_of, twists,
 
     The competition runs over start flags at maximal-valence vertices in
     the given local directions; ``(0,)`` keeps positive flags only, the
-    ribbon (flip-free) competition.  Given a candidate stream ``best``
-    that one of the flags emits, the competition is a canonicity test: it
-    returns None as soon as a flag beats the candidate.
+    ribbon (flip-free) competition.  Full mode (no ``best``) returns the
+    minimal stream.  Given the stream ``best`` that flag (0, 0) emits, the
+    competition is a canonicity test: that flag is counted as a tie
+    without a traversal, every other flag stops at its first token that
+    differs from ``best``, and the test returns None as soon as a flag
+    beats the candidate.
     """
     candidate = best is not None
     n = len(partner)
     maxval = max(valences)
-    count_all = 0
-    count_plus = 0
+    count_all = count_plus = 1 if candidate else 0
     for h0 in range(n):
         if valences[vertex_of[h0]] != maxval:
             continue
         for d0 in directions:
-            stream, tied = _traverse(h0, d0, valences, succ, pred, vertex_of,
-                                     partner, edge_of, twists, best)
-            if stream is None:
+            if candidate and h0 == 0 and d0 == 0:
                 continue
-            if tied:
+            sign, stream = _traverse(h0, d0, valences, succ, pred, vertex_of,
+                                     partner, edge_of, twists, best, candidate)
+            if sign > 0:
+                continue
+            if sign == 0:
                 count_all += 1
                 count_plus += (d0 == 0)
             elif candidate:
@@ -183,33 +191,23 @@ def _canon(valences, succ, pred, vertex_of, partner, edge_of, twists,
     return tuple(best), count_all, count_plus
 
 
-def _stream_pairing(stream: Tuple[int, ...]):
-    """Partner, edge and twist arrays of the half-edges a stream labels.
+def _graph_from_stream(stream: Tuple[int, ...]) -> MoebiusGraph:
+    """Rebuild the canonical representative graph encoded by a stream.
 
-    Each half-edge serves as its own edge index, so ``twists`` holds an
-    edge's twist at both of its ends; tree edges are untwisted.
+    Half-edges keep their stream labels; tree edges are untwisted.
     """
-    n = len(stream) - 1
-    partner = [0] * n
-    twists = [False] * n
+    edges = []
+    twists = []
     next_free = -stream[0]
     for i, tok in enumerate(stream[1:]):
         if tok < 0:
-            partner[i], partner[next_free] = next_free, i
+            edges.append((i, next_free))
+            twists.append(False)
             next_free -= tok
         elif tok >> 1 > i:
-            j = tok >> 1
-            partner[i], partner[j] = j, i
-            twists[i] = twists[j] = bool(tok & 1)
-    return partner, range(n), twists
-
-
-def _graph_from_stream(stream: Tuple[int, ...]) -> MoebiusGraph:
-    """Rebuild the canonical representative graph encoded by a stream."""
-    partner, _, twists = _stream_pairing(stream)
-    lower = [h for h, p in enumerate(partner) if h < p]
-    return MoebiusGraph(_blocks(-tok for tok in stream if tok < 0),
-                        [(h, partner[h]) for h in lower], [twists[h] for h in lower])
+            edges.append((i, tok >> 1))
+            twists.append(bool(tok & 1))
+    return MoebiusGraph(_blocks(-tok for tok in stream if tok < 0), edges, twists)
 
 
 def _stream_to_bytes(stream: Tuple[int, ...]) -> bytes:
@@ -314,99 +312,131 @@ def _layout(key: ProfileKey):
     return g.rotations, g._succ, g._pred, g._vertex_of
 
 
-def _check_budget(key: ProfileKey, budget: int, twist_patterns: Optional[int] = None) -> None:
-    """Refuse more than ``budget`` half-edges, naming the predicted cost.
+def _figure(log10_count: float, exact: Callable[[], int]) -> str:
+    """A count given its log10: exact below 30 digits, else to two figures."""
+    if log10_count < 30:
+        return "%d" % exact()
+    power = floor(log10_count)
+    mantissa = round(10 ** (log10_count - power), 1)
+    if mantissa >= 10:
+        mantissa, power = 1.0, power + 1
+    return "about %.1fe%d" % (mantissa, power)
 
-    With ``twist_patterns`` the cost is the labelled gluings a pairing sum
-    would visit, (n-1)!! matchings times that many twist patterns.
+
+def _budgeted_key(profile, budget: int, twist_bits: Optional[Tuple[int, ...]] = None
+                  ) -> ProfileKey:
+    """The profile's key, after refusing more than ``budget`` half-edges.
+
+    The refusal comes before any list or huge integer is built and names
+    the predicted cost: (n-1)!! matchings, or with ``twist_bits`` the
+    labelled gluings a pairing sum would visit, those matchings times
+    len(twist_bits) ** (n/2) twist patterns.
     """
-    n = sum(key)
+    counts = profile_dict(profile)
+    n = sum(j * count for j, count in counts.items())
     if n > budget:
-        matchings = prod(range(n - 1, 0, -2))
-        if twist_patterns is None:
-            cost = "%d matchings" % matchings
-        elif twist_patterns == 1:
-            cost = "%d untwisted labelled gluings" % matchings
+        e = n // 2
+        log_matchings = (lgamma(n + 1) - lgamma(e + 1)) / log(10) - e * log10(2)
+        matchings = _figure(log_matchings, lambda: prod(range(n - 1, 0, -2)))
+        if twist_bits is None:
+            cost = "%s matchings" % matchings
+        elif len(twist_bits) == 1:
+            cost = "%s untwisted labelled gluings" % matchings
         else:
-            cost = "%d labelled gluings: %d matchings x %d twist patterns" % (
-                matchings * twist_patterns, matchings, twist_patterns)
+            cost = "%s labelled gluings: %s matchings x %s twist patterns" % (
+                _figure(log_matchings + e * log10(2), lambda: prod(range(n - 1, 0, -2)) << e),
+                matchings, _figure(e * log10(2), lambda: 1 << e))
         raise BudgetError("profile %s needs %d half-edges (%s), budget is %d"
-                          % (profile_dict(key), n, cost, budget))
+                          % (counts, n, cost, budget))
+    return profile_key(counts)
 
 
-def _bfs_streams(key: ProfileKey, effs: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-    """Every label stream ``_traverse`` can emit from a maximal-valence flag
-    of a connected graph with valence multiset ``key``, with the relative
-    twists ``effs`` allowed on non-tree edges (``(0,)``: untwisted only).
+def _orderly(key: ProfileKey, directions: Tuple[int, ...]
+             ) -> List[Tuple[Tuple[int, ...], int, int]]:
+    """(stream, count_all, count_plus) for each class of ``key``.
 
-    A depth-first walk builds the stream position by position.  The start
-    vertex has maximal valence; an unmatched position i either opens a new
-    vertex of a remaining valence w (token -w, a tree edge, whose far end
-    owes the token i << 1) or pairs with a later labelled, unmatched
-    half-edge j through an edge of relative twist eff (token (j << 1) | eff,
-    j owing (i << 1) | eff); a matched position emits the token it is owed.
-    A walk that runs out of labelled half-edges before every vertex is
-    placed would be disconnected and stops.
+    Orderly generation: a class's canonical code is itself a BFS-normal
+    stream (the one its minimal flags emit), and it is the only stream of
+    the class that no flag of its own graph beats, so keeping the streams
+    that win their competition yields each class exactly once.
+
+    A depth-first walk writes every stream ``_traverse`` can emit from a
+    maximal-valence flag of a connected graph with valence multiset
+    ``key``, with the relative twists ``directions`` on non-tree edges
+    (the positive-flag competition ``(0,)`` runs on untwisted streams).
+    The start vertex has maximal valence; an unmatched position i either
+    opens a new vertex of a remaining valence w (token -w, a tree edge,
+    whose far end owes the token i << 1) or pairs with a later labelled,
+    unmatched half-edge j through an edge of relative twist eff (token
+    (j << 1) | eff, j owing (i << 1) | eff); a matched position emits the
+    token it is owed.  A walk that runs out of labelled half-edges before
+    every vertex is placed would be disconnected and stops.  The walk keeps
+    the arrays of the graph a stream encodes (each half-edge its own edge
+    index, tree edges untwisted) live as it places vertices and edges, so
+    each complete stream is tested on them in place, where flag (0, 0)
+    emits it.
     """
     n = sum(key)
     left = Counter(key[1:])
     stream = [-key[0]]
     owed: List[Optional[int]] = [None] * n
+    valences: List[int] = []
+    succ = [0] * n
+    pred = [0] * n
+    vertex_of = [0] * n
+    partner = [0] * n
+    twists = [0] * n
+    edge_of = range(n)
+    winners = []
 
-    def walk(i: int, labelled: int) -> Iterator[Tuple[int, ...]]:
+    def place(base: int, w: int) -> None:
+        """Open a vertex of valence w on half-edges base .. base + w - 1."""
+        v = len(valences)
+        valences.append(w)
+        for k in range(w):
+            vertex_of[base + k] = v
+            succ[base + k] = base + (k + 1) % w
+            pred[base + k] = base + (k - 1) % w
+
+    def walk(i: int, labelled: int) -> None:
+        mark = len(stream)
+        while i < n and owed[i] is not None:
+            stream.append(owed[i])
+            i += 1
         if i == n:
-            yield tuple(stream)
-            return
-        if i == labelled:
-            return
-        tok = owed[i]
-        if tok is not None:
-            stream.append(tok)
-            yield from walk(i + 1, labelled)
-            stream.pop()
-            return
-        for w in left:
-            if left[w]:
-                left[w] -= 1
-                owed[labelled] = i << 1
-                stream.append(-w)
-                yield from walk(i + 1, labelled + w)
-                stream.pop()
-                owed[labelled] = None
-                left[w] += 1
-        for j in range(i + 1, labelled):
-            if owed[j] is None:
-                for eff in effs:
-                    owed[j] = (i << 1) | eff
-                    stream.append((j << 1) | eff)
-                    yield from walk(i + 1, labelled)
+            won = _canon(valences, succ, pred, vertex_of, partner, edge_of, twists,
+                         directions, stream)
+            if won is not None:
+                winners.append(won)
+        elif i < labelled:
+            for w in left:
+                if left[w]:
+                    left[w] -= 1
+                    place(labelled, w)
+                    partner[i], partner[labelled] = labelled, i
+                    twists[i] = twists[labelled] = 0
+                    owed[labelled] = i << 1
+                    stream.append(-w)
+                    walk(i + 1, labelled + w)
                     stream.pop()
-                owed[j] = None
+                    owed[labelled] = None
+                    valences.pop()
+                    left[w] += 1
+            for j in range(i + 1, labelled):
+                if owed[j] is None:
+                    partner[i], partner[j] = j, i
+                    for eff in directions:
+                        twists[i] = twists[j] = eff
+                        owed[j] = (i << 1) | eff
+                        stream.append((j << 1) | eff)
+                        walk(i + 1, labelled)
+                        stream.pop()
+                    owed[j] = None
+        del stream[mark:]
 
-    return walk(0, key[0])
-
-
-def _orderly(key: ProfileKey, directions: Tuple[int, ...]
-             ) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
-    """Yield (stream, count_all, count_plus) for each class of ``key``.
-
-    Orderly generation: a class's canonical code is itself a BFS-normal
-    stream (the one its minimal flags emit), and it is the only stream of
-    the class that no flag of its own graph beats, so keeping the streams
-    that win their competition yields each class exactly once.  The
-    positive-flag competition ``(0,)`` runs on untwisted streams, whose
-    relative twists are all 0.
-    """
-    layouts = {}
-    for stream in _bfs_streams(key, directions):
-        blocks = tuple(-tok for tok in stream if tok < 0)
-        if blocks not in layouts:
-            layouts[blocks] = _layout(blocks)
-        _, succ, pred, vertex_of = layouts[blocks]
-        won = _canon(blocks, succ, pred, vertex_of, *_stream_pairing(stream),
-                     directions=directions, best=stream)
-        if won is not None:
-            yield won
+    place(0, key[0])
+    walk(0, key[0])
+    return winners
 
 
 @lru_cache(maxsize=None)
@@ -489,8 +519,7 @@ def enumerate_graphs(profile, connected_only: bool = True,
                      half_edge_budget: int = HALF_EDGE_BUDGET
                      ) -> List[GraphCatalogEntry]:
     """One catalog entry per isomorphism class with the given valence profile."""
-    key = profile_key(profile)
-    _check_budget(key, half_edge_budget)
+    key = _budgeted_key(profile, half_edge_budget)
     if connected_only:
         return list(_connected_catalog(key))
     return list(_full_catalog(key))
@@ -515,8 +544,7 @@ def _ribbon_catalog(key: ProfileKey) -> Tuple[Tuple[bytes, int, TopologyProfile]
 
 def ribbon_classes(profile, half_edge_budget: int = HALF_EDGE_BUDGET):
     """Connected ribbon classes as (code, aut_ribbon, topology) triples."""
-    key = profile_key(profile)
-    _check_budget(key, half_edge_budget)
+    key = _budgeted_key(profile, half_edge_budget)
     return list(_ribbon_catalog(key))
 
 
@@ -548,10 +576,9 @@ def labeled_pairing_sum(profile, mode: str = "moebius",
     """
     if mode not in ("moebius", "ribbon"):
         raise UsageError("mode must be 'moebius' or 'ribbon'")
-    key = profile_key(profile)
     twist_bits = (0, 1) if mode == "moebius" else (0,)
+    key = _budgeted_key(profile, half_edge_budget, twist_bits)
     n = sum(key)
-    _check_budget(key, half_edge_budget, len(twist_bits) ** (n // 2))
     _, succ, pred, _ = _layout(key)
     to_succ = [2 * succ[h] for h in range(n)]
     to_pred = [2 * pred[h] + 1 for h in range(n)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .catalog import HALF_EDGE_BUDGET, _check_budget, profile_key, ribbon_classes
+from .catalog import HALF_EDGE_BUDGET, _budgeted_key, ribbon_classes
 from .errors import UsageError, VerificationError
 from .npoly import NPoly
 from .series import CouplingSeries, expand_logZ
@@ -44,7 +44,7 @@ def clt_limit(alpha, j_max: int,
     if j_max < 1:
         raise UsageError("j_max must be >= 1")
     # the largest profile first, before any smaller catalog is built
-    _check_budget(profile_key([j_max, j_max]), half_edge_budget)
+    _budgeted_key([j_max, j_max], half_edge_budget)
     form: Dict[Tuple[int, int], Fraction] = {}
     for j1 in range(1, j_max + 1):
         for j2 in range(j1, j_max + 1):

@@ -245,6 +245,8 @@ def mc_estimate(beta: int, n: int, powers: Sequence[int], samples: int, seed: in
     MomentQuery(beta, n, tuple(powers), scale)  # the exact route's bounds on the inputs
     if samples < 2:
         raise UsageError("need at least 2 samples for a standard error, got %d" % samples)
+    if seed < 0:
+        raise UsageError("seed must be >= 0, got %d" % seed)
     rng = np.random.default_rng(seed)
     c = float(scale)
     sd_diag = (1.0 / (2 * c)) ** 0.5

@@ -20,4 +20,6 @@ def pmap(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> List[R]:
 
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=min(threads, len(items))) as pool:
-        return pool.map(fn, items)
+        # one item per task, so the costliest items (expand's largest
+        # monomials, which come first) are not chunked onto one worker
+        return pool.map(fn, items, chunksize=1)

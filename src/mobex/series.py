@@ -253,11 +253,15 @@ def tag_monomials(tag: str, degree: int, include_t1: bool = True,
 def _connected_sum(args) -> NPoly:
     """Weighted connected-class sum of one monomial (a pmap worker)."""
     monomial, tag, beta, half_edge_budget = args
-    weight = _WEIGHTS[tag]
-    total = NPoly.zero()
+    # every weight depends on the class only through its topology
+    census: Dict[TopologyProfile, Fraction] = {}
     for entry in enumerate_graphs(list(monomial), connected_only=True,
                                   half_edge_budget=half_edge_budget):
-        total = total + weight(entry.topology, beta) * Fraction(1, entry.aut_moebius)
+        census[entry.topology] = census.get(entry.topology, 0) + Fraction(1, entry.aut_moebius)
+    weight = _WEIGHTS[tag]
+    total = NPoly.zero()
+    for topo, inverse_aut in census.items():
+        total = total + weight(topo, beta) * inverse_aut
     return total
 
 
@@ -273,11 +277,11 @@ def expand_logZ(tag: str, degree: int, beta: Optional[int] = None,
     if threads < 1:
         raise UsageError("threads must be >= 1, got %d" % threads)
     beta = _validate_tag(tag, beta)
-    monomials = tag_monomials(tag, degree, include_t1, include_t2)
     needed = degree - degree % 2
     if needed > half_edge_budget:
         raise BudgetError("truncation degree %d needs %d half-edges, budget is %d"
                           % (degree, needed, half_edge_budget))
+    monomials = tag_monomials(tag, degree, include_t1, include_t2)
     totals = pmap(_connected_sum,
                   [(m, tag, beta, half_edge_budget) for m in monomials], threads)
     return CouplingSeries(degree, {m: t for m, t in zip(monomials, totals) if t})

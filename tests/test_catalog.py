@@ -255,6 +255,42 @@ def test_catalog_matches_full_twist_sweep():
         assert ground == fast, profile
 
 
+def test_candidate_test_matches_full_competition():
+    # every maximal-valence flag's stream T of every connected labelled
+    # gluing: on the arrays of the graph T encodes, the canonicity test
+    # rejects T iff T is not the full competition's minimum, and otherwise
+    # returns the full competition's stream and flag counts (count_plus
+    # depends on the representative, so it is taken on T's graph)
+    from mobex.catalog import _canon, _graph_arrays, _graph_from_stream, _traverse
+
+    def flag_streams(key):
+        """{T: the gluing's full-mode (stream, count_all)} per direction set."""
+        (succ, pred, vertex_of), matchings = connected_pairings(key)
+        out = {(0, 1): {}, (0,): {}}
+        for pairs, partner, edge_of in matchings:
+            e = len(pairs)
+            for bits in range(1 << e):
+                twists = [bool((bits >> i) & 1) for i in range(e)]
+                arrays = (key, succ, pred, vertex_of, partner, edge_of, twists)
+                for directions in ((0, 1), (0,)) if bits == 0 else ((0, 1),):
+                    full = _canon(*arrays, directions=directions)[:2]
+                    for h0 in range(sum(key)):
+                        if key[vertex_of[h0]] == key[0]:
+                            for d0 in directions:
+                                _, stream = _traverse(h0, d0, *arrays, None, False)
+                                out[directions][tuple(stream)] = full
+        return out
+
+    for profile in list(all_profiles(3)) + [(4, 4), (3, 3, 2)]:
+        for directions, streams in flag_streams(profile_key(list(profile))).items():
+            for stream, full in streams.items():
+                arrays = _graph_arrays(_graph_from_stream(stream))
+                won = _canon(*arrays, directions=directions, best=stream)
+                own = _canon(*arrays, directions=directions)
+                assert own[:2] == full
+                assert won == (None if stream != own[0] else own), (profile, stream)
+
+
 def test_ribbon_catalog_matches_matching_sweep():
     # ground truth: every connected untwisted labelled matching under the
     # positive-flag competition; the generated ribbon catalog must list the

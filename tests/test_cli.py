@@ -362,6 +362,7 @@ FAILURE_CONTRACT = [
     ("oracle --beta 3 --n 2", cli.EXIT_USAGE),
     ("oracle mc --beta 1 --n 2 --powers x", cli.EXIT_USAGE),
     ("oracle mc --beta 1 --n 2 --powers 2,", cli.EXIT_USAGE),
+    ("oracle mc --beta 1 --n 2 --seed -1", cli.EXIT_USAGE),
     ("penner --model I --r x", cli.EXIT_USAGE),
     ("charpoly --max-degree -1", cli.EXIT_USAGE),
     ("charpoly --ensemble goe --side rhs", cli.EXIT_USAGE),
@@ -372,6 +373,14 @@ FAILURE_CONTRACT = [
     ("charpoly --max-degree 40", cli.EXIT_BUDGET),
     ("mu --graph {tmp}/klein.json --beta 4 --mu-budget 1", cli.EXIT_BUDGET),
     ("clt --jmax 9", cli.EXIT_BUDGET),
+    # refused before any list or exact (n-1)!! is built, at any size
+    ("graphs --profile 3000:2", cli.EXIT_BUDGET),
+    ("graphs --profile 1:20000", cli.EXIT_BUDGET),
+    ("graphs --profile 2:100000000000", cli.EXIT_BUDGET),
+    ("clt --jmax 100000", cli.EXIT_BUDGET),
+    ("clt --jmax 10000000", cli.EXIT_BUDGET),
+    ("expand --beta 1 --max-degree 40", cli.EXIT_BUDGET),
+    ("expand --beta 1 --max-degree 70", cli.EXIT_BUDGET),
     ("mu --graph {tmp}/garbled.json --beta 1", cli.EXIT_STRUCTURAL),
 ]
 
