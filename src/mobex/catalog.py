@@ -43,11 +43,9 @@ from functools import lru_cache
 from math import factorial, floor, lgamma, log, log10, prod
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import BudgetError, StructuralError, UsageError
+from .errors import HALF_EDGE_BUDGET, BudgetError, StructuralError, UsageError
 from .graphs import MoebiusGraph, TopologyProfile, flip_vertex, topology
 from .npoly import NPoly
-
-HALF_EDGE_BUDGET = 16
 
 ProfileKey = Tuple[int, ...]  # valence multiset, sorted descending
 

@@ -4,6 +4,9 @@ Exit codes: 0 success, 2 usage error, 3 budget exceeded, 4 verification
 failure (its "payload" joins the stderr record), 5 malformed structural
 input, 141 stdout closed.  All exact output is JSON with rationals
 rendered "p/q"; --threads never changes a byte.
+
+Each subcommand imports the layers it runs when it runs, so a process
+pays to load only those.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from . import catalog, clt as clt_mod, dualchar, oracle as oracle_mod, penner, series, sprinkle
-from .errors import BudgetError, StructuralError, UsageError, VerificationError
-from .graphs import graph_from_json, topology
+from .errors import (HALF_EDGE_BUDGET, MU_ASSIGNMENT_BUDGET, ORACLE_DEGREE_BUDGET, TAGS,
+                     BudgetError, StructuralError, UsageError, VerificationError)
 
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
@@ -53,9 +55,9 @@ class Budgets:
     @staticmethod
     def from_args(args: argparse.Namespace) -> "Budgets":
         return Budgets(
-            _budget(args.half_edge_budget, "MOBEX_HALF_EDGE_BUDGET", catalog.HALF_EDGE_BUDGET),
-            _budget(args.mu_budget, "MOBEX_MU_BUDGET", sprinkle.MU_ASSIGNMENT_BUDGET),
-            _budget(args.oracle_budget, "MOBEX_ORACLE_BUDGET", oracle_mod.ORACLE_DEGREE_BUDGET))
+            _budget(args.half_edge_budget, "MOBEX_HALF_EDGE_BUDGET", HALF_EDGE_BUDGET),
+            _budget(args.mu_budget, "MOBEX_MU_BUDGET", MU_ASSIGNMENT_BUDGET),
+            _budget(args.oracle_budget, "MOBEX_ORACLE_BUDGET", ORACLE_DEGREE_BUDGET))
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -134,6 +136,8 @@ def _topology_json(topo) -> dict:
 # -- subcommands -------------------------------------------------------------------
 
 def _cmd_graphs(args: argparse.Namespace, budgets: Budgets) -> int:
+    from . import catalog
+
     entries = catalog.enumerate_graphs(
         _parse_profile(args.profile), connected_only=args.connected,
         half_edge_budget=budgets.half_edges)
@@ -160,6 +164,8 @@ def _cmd_graphs(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace, budgets: Budgets) -> int:
+    from . import series
+
     logz = series.expand_logZ(args.tag, args.max_degree, args.beta, args.t1, args.t2,
                               half_edge_budget=budgets.half_edges, threads=args.threads)
     # expansion order, as the monomials are generated, not sorted
@@ -171,6 +177,9 @@ def _cmd_expand(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _cmd_mu(args: argparse.Namespace, budgets: Budgets) -> int:
+    from . import sprinkle
+    from .graphs import graph_from_json, topology
+
     with open(args.graph) as handle:
         graph = graph_from_json(handle.read())
     report = sprinkle.mu_report(graph, args.beta, assignment_budget=budgets.mu_assignments)
@@ -191,17 +200,19 @@ def _cmd_mu(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace, budgets: Budgets) -> int:
+    from . import oracle
+
     scale = _parse_fraction(args.scale)
     if args.mode == "mc":
         powers = _parse_powers(args.powers)
-        mean, err = oracle_mod.mc_estimate(args.beta, args.n, powers, args.samples,
-                                           args.seed, scale=scale)
+        mean, err = oracle.mc_estimate(args.beta, args.n, powers, args.samples,
+                                       args.seed, scale=scale)
         _emit({"mean": mean, "stderr": err, "beta": args.beta, "n": args.n,
                "powers": list(powers), "samples": args.samples,
                "seed": args.seed, "scale": str(scale)}, args.format)
         return 0
-    reports = oracle_mod.oracle_compare(args.beta, args.tag, args.max_degree, [args.n],
-                                        budget=budgets.oracle_degree)
+    reports = oracle.oracle_compare(args.beta, args.tag, args.max_degree, [args.n],
+                                    budget=budgets.oracle_degree)
     data = [{"monomial": list(r.monomial), "n": r.n,
              "graph_sum": str(r.predicted), "oracle": str(r.exact),
              "equal": r.equal} for r in reports]
@@ -212,6 +223,8 @@ def _cmd_oracle(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _cmd_penner(args: argparse.Namespace, budgets: Budgets) -> int:
+    from . import penner
+
     if args.mode == "euler":
         value = penner.real_moduli_euler(args.q, args.n)
         _emit({"q": args.q, "n": args.n, "euler_characteristic": str(value)}, args.format)
@@ -230,6 +243,8 @@ def _cmd_penner(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _cmd_charpoly(args: argparse.Namespace, budgets: Budgets) -> int:
+    from . import dualchar
+
     if args.mode == "verify":
         report = dualchar.verify_polynomial_identity(args.N, args.k, args.which)
         _emit({"which": report.which, "N": report.n, "k": report.k,
@@ -248,14 +263,16 @@ def _cmd_charpoly(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _cmd_clt(args: argparse.Namespace, budgets: Budgets) -> int:
+    from . import clt
+
     alpha = _parse_fraction(args.alpha)
-    result = clt_mod.clt_limit(alpha, args.jmax, half_edge_budget=budgets.half_edges)
+    result = clt.clt_limit(alpha, args.jmax, half_edge_budget=budgets.half_edges)
     data = {"alpha": str(result.alpha),
             "quadratic_form": [[list(pair), str(val)]
                                for pair, val in result.quadratic_form]}
     if args.verify:
-        report = clt_mod.verify_clt(alpha, args.jmax, args.max_degree,
-                                    half_edge_budget=budgets.half_edges)
+        report = clt.verify_clt(alpha, args.jmax, args.max_degree,
+                                half_edge_budget=budgets.half_edges)
         data["verified"] = report.equal
         data["matched_pairs"] = report.matched
     _emit(data, args.format,
@@ -265,6 +282,8 @@ def _cmd_clt(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _cmd_duality(args: argparse.Namespace, budgets: Budgets) -> int:
+    from . import series
+
     alpha = _parse_fraction(args.alpha)
     inv = series.expand_logZ("invariant", args.max_degree, half_edge_budget=budgets.half_edges)
     dual = series.apply_duality(inv)
@@ -308,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("expand", help="graph-sum expansion of log Z")
     p.add_argument("--beta", type=int, default=None)
-    p.add_argument("--tag", choices=list(series.TAGS), default="master")
+    p.add_argument("--tag", choices=list(TAGS), default="master")
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--no-t1", dest="t1", action="store_false", default=True)
     p.add_argument("--no-t2", dest="t2", action="store_false", default=True)
@@ -321,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", nargs="?", choices=["mc"], default=None)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tag", choices=list(series.TAGS), default="master")
+    p.add_argument("--tag", choices=list(TAGS), default="master")
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--powers", default="2")
     p.add_argument("--samples", type=int, default=100000)

@@ -1,7 +1,15 @@
-"""Exception taxonomy shared by all modules.
+"""Exception taxonomy and default budgets shared by all modules.
 
-Each class maps to a distinct CLI exit code (see cli.py).
+Each class maps to a distinct CLI exit code (see cli.py).  The default
+budgets and the normalization tags live here too, so that the CLI can
+build its parser without importing the layers that enforce them.
 """
+
+HALF_EDGE_BUDGET = 16  # catalog: half-edges per profile
+MU_ASSIGNMENT_BUDGET = 4 ** 10  # sprinkle: beta**e unit assignments
+ORACLE_DEGREE_BUDGET = 8  # oracle: truncation degree of the eigenvalue side
+
+TAGS = ("master", "rescaled", "hermitian", "gse-penner", "invariant")
 
 
 class StructuralError(ValueError):

@@ -30,13 +30,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import BudgetError, UsageError, VerificationError
+from .errors import ORACLE_DEGREE_BUDGET, BudgetError, UsageError, VerificationError
 from .npoly import NPoly
-from .series import CouplingSeries, _validate_tag, expand_logZ, tag_monomials
-
-ORACLE_DEGREE_BUDGET = 8
+from .series import (CouplingSeries, _dropped_couplings, _validate_tag, expand_logZ,
+                     tag_monomials)
 
 
 @dataclass(frozen=True)
@@ -163,13 +162,48 @@ _TAG_DICTIONARY = {
 }
 
 
+def _monomial_count(degree: int, dropped: Set[int]) -> Optional[int]:
+    """len(tag_monomials(...)) without listing them; None from 10**30 on.
+
+    The monomials are the partitions of the even weights 2..degree with no
+    part in ``dropped``.  Their generating function is prod over dropped j
+    of (1 - x**j) times that of all partitions, whose counts p(n) come from
+    Euler's pentagonal-number recurrence, so the count takes about
+    degree**1.5 additions and stops once it passes 10**30.
+    """
+    shifts = {0: 1}  # prod over dropped j of (1 - x**j)
+    for j in dropped:
+        for s, c in list(shifts.items()):
+            shifts[s + j] = shifts.get(s + j, 0) - c
+    p = [1]
+    total = 0
+    for n in range(1, degree + 1):
+        value, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for pentagonal in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if pentagonal <= n:
+                    value += sign * p[n - pentagonal]
+            k += 1
+        p.append(value)
+        if n % 2 == 0:
+            total += sum(c * p[n - s] for s, c in shifts.items() if s <= n)
+            if total >= 10 ** 30:
+                return None
+    return total
+
+
 def oracle_logZ(beta: int, tag: str, degree: int, n: int,
                 include_t1: bool = True, include_t2: bool = True,
                 budget: int = ORACLE_DEGREE_BUDGET) -> CouplingSeries:
     """log Z as a t-series with rational coefficients, from eigenvalue moments."""
     _validate_tag(tag, beta)
     if degree > budget:
-        raise BudgetError("degree %d exceeds oracle budget %d" % (degree, budget))
+        count = _monomial_count(degree, _dropped_couplings(tag, include_t1, include_t2))
+        raise BudgetError(
+            "degree %d exceeds oracle budget %d: it would compute %s eigenvalue moments,"
+            " one per coupling monomial of tag %r"
+            % (degree, budget, "over 10^30" if count is None else count, tag))
     measure_beta, scale, gfun = _TAG_DICTIONARY[tag](beta, n)
 
     z = CouplingSeries(degree, {(): NPoly.const(1)})

@@ -28,18 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .catalog import HALF_EDGE_BUDGET, enumerate_graphs
-from .errors import BudgetError, UsageError
+from .errors import TAGS, BudgetError, UsageError
 from .graphs import TopologyProfile
 from .npoly import NPoly, add_term, mul_terms
 from .parallel import pmap
 from .sprinkle import mu_closed_form
 
 Monomial = Tuple[int, ...]
-
-TAGS = ("master", "rescaled", "hermitian", "gse-penner", "invariant")
 
 
 @dataclass
@@ -237,16 +235,21 @@ def _validate_tag(tag: str, beta: Optional[int]) -> Optional[int]:
     return beta
 
 
-def tag_monomials(tag: str, degree: int, include_t1: bool = True,
-                  include_t2: bool = True) -> List[Monomial]:
-    """The coupling monomials a tag expands to the truncation degree.
+def _dropped_couplings(tag: str, include_t1: bool, include_t2: bool) -> Set[int]:
+    """The couplings t_j a tag's expansion leaves out.
 
     t_1 and t_2 drop out on request, and always for gse-penner, whose
     couplings start at j = 3.
     """
     if tag == "gse-penner":
-        include_t1 = include_t2 = False
-    dropped = {j for j, keep in ((1, include_t1), (2, include_t2)) if not keep}
+        return {1, 2}
+    return {j for j, keep in ((1, include_t1), (2, include_t2)) if not keep}
+
+
+def tag_monomials(tag: str, degree: int, include_t1: bool = True,
+                  include_t2: bool = True) -> List[Monomial]:
+    """The coupling monomials a tag expands to the truncation degree."""
+    dropped = _dropped_couplings(tag, include_t1, include_t2)
     return list(iter_monomials(degree, allowed=lambda j: j not in dropped))
 
 

@@ -26,11 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .errors import BudgetError, StructuralError, UsageError
+from .errors import MU_ASSIGNMENT_BUDGET, BudgetError, StructuralError, UsageError
 from .graphs import MoebiusGraph, TopologyProfile, topology
 from .catalog import canonical_code
-
-MU_ASSIGNMENT_BUDGET = 4 ** 10
 
 # signed units encoded as idx + 4*negbit; idx 0 is the real unit, 1..3 are i,j,k
 _QMUL = [[0] * 8 for _ in range(8)]

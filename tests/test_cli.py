@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mobex import cli, series
+from mobex import cli, oracle, series, sprinkle
 from mobex.dualchar import CharpolyReport
 from mobex.graphs import MoebiusGraph, graph_to_json
 
@@ -92,8 +92,8 @@ def test_mu_subcommand(tmp_path, capsys):
 
 
 def test_mu_mismatch_exits_4_with_its_report(tmp_path, monkeypatch, capsys):
-    real = cli.sprinkle.mu_closed_form
-    monkeypatch.setattr(cli.sprinkle, "mu_closed_form",
+    real = sprinkle.mu_closed_form
+    monkeypatch.setattr(sprinkle, "mu_closed_form",
                         lambda profile, beta: real(profile, beta) + 1)
     klein = MoebiusGraph([(0, 1, 2, 3)], [(0, 1), (2, 3)], [True, True])
     path = tmp_path / "klein.json"
@@ -178,15 +178,13 @@ def test_duality_subcommand(capsys):
 
 
 def test_verification_failure_exit_code(monkeypatch, capsys):
-    from mobex import series as series_mod
-
     def corrupt(series):
         out = series.copy()
         key = next(iter(out.terms))
         out.terms[key] = out.terms[key] * 2
         return out
 
-    monkeypatch.setattr(cli.series, "apply_duality", corrupt)
+    monkeypatch.setattr(series, "apply_duality", corrupt)
     code, out, err = run_cli(capsys, "duality", "--alpha", "2", "--max-degree", "4")
     assert code == cli.EXIT_VERIFY
     record = json.loads(err)
@@ -196,8 +194,8 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
 
 
 def test_oracle_mismatch_prints_its_report(monkeypatch, capsys):
-    real = cli.oracle_mod.eigenvalue_moment
-    monkeypatch.setattr(cli.oracle_mod, "eigenvalue_moment", lambda q: real(q) + 1)
+    real = oracle.eigenvalue_moment
+    monkeypatch.setattr(oracle, "eigenvalue_moment", lambda q: real(q) + 1)
     code, out, err = run_cli(capsys, "oracle", "--beta", "1", "--n", "2",
                              "--max-degree", "2")
     assert code == cli.EXIT_VERIFY and out == ""
@@ -282,13 +280,15 @@ def test_oracle_over_degree_budget_skips_the_graph_side(monkeypatch, capsys):
     def no_graph_side(*args, **kwargs):
         raise AssertionError("the graph side was built before the budget check")
 
-    monkeypatch.setattr(cli.oracle_mod, "expand_logZ", no_graph_side)
+    monkeypatch.setattr(oracle, "expand_logZ", no_graph_side)
     code, out, err = run_cli(capsys, "oracle", "--beta", "1", "--n", "2", "--max-degree", "10")
     assert code == cli.EXIT_BUDGET and out == ""
     lines = err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0]) == {"error": "degree 10 exceeds oracle budget 8",
-                                    "code": cli.EXIT_BUDGET}
+    assert json.loads(lines[0]) == {
+        "error": "degree 10 exceeds oracle budget 8: it would compute 82 eigenvalue moments,"
+                 " one per coupling monomial of tag 'master'",
+        "code": cli.EXIT_BUDGET}
 
 
 @pytest.mark.parametrize("name", ["MOBEX_HALF_EDGE_BUDGET", "MOBEX_MU_BUDGET",

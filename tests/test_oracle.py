@@ -123,6 +123,27 @@ def test_budget_guard(monkeypatch):
         oracle_compare(1, "master", 10, [2], budget=8)
 
 
+@pytest.mark.parametrize("tag, beta", [("master", 1), ("hermitian", 2), ("gse-penner", 4)])
+@pytest.mark.parametrize("t1, t2", [(True, True), (False, True), (True, False), (False, False)])
+def test_budget_error_counts_the_monomials_it_would_compute(tag, beta, t1, t2):
+    for degree in range(1, 15):
+        expected = len(tag_monomials(tag, degree, t1, t2))
+        with pytest.raises(BudgetError) as info:
+            oracle_logZ(beta, tag, degree, 2, t1, t2, budget=0)
+        assert str(info.value) == (
+            "degree %d exceeds oracle budget 0: it would compute %d eigenvalue moments,"
+            " one per coupling monomial of tag %r" % (degree, expected, tag))
+
+
+def test_budget_error_counts_without_listing_at_any_degree():
+    # sum of p(n) over even n <= 500, from the pentagonal recurrence
+    with pytest.raises(BudgetError, match=r"^degree 500 exceeds oracle budget 8: it would"
+                                          r" compute 21577430523547596097978 eigenvalue"):
+        oracle_logZ(1, "master", 500, 2)
+    with pytest.raises(BudgetError, match=r"compute over 10\^30 eigenvalue moments"):
+        oracle_logZ(1, "master", 10 ** 9, 2)
+
+
 def test_mc_three_listed_cases():
     mean, err = mc_estimate(1, 2, (2,), 20000, 7)
     assert abs(mean - 6) < 3 * err
