@@ -306,8 +306,10 @@ def _blocks(sizes) -> List[Tuple[int, ...]]:
 
 def _layout(key: ProfileKey):
     """Half-edge layout of a valence sequence: rotation arrays, no edges yet."""
-    g = MoebiusGraph(_blocks(key), [], [], check=False)
-    return g.rotations, g._succ, g._pred, g._vertex_of
+    rotations = _blocks(key)
+    succ = [h for rot in rotations for h in rot[1:] + rot[:1]]
+    pred = [h for rot in rotations for h in rot[-1:] + rot[:-1]]
+    return rotations, succ, pred, [v for v, rot in enumerate(rotations) for _ in rot]
 
 
 def _figure(log10_count: float, exact: Callable[[], int]) -> str:

@@ -5,8 +5,8 @@ failure (its "payload" joins the stderr record), 5 malformed structural
 input, 141 stdout closed.  All exact output is JSON with rationals
 rendered "p/q"; --threads never changes a byte.
 
-Each subcommand imports the layers it runs when it runs, so a process
-pays to load only those.
+Each subcommand accepts only the options its runner reads, and imports
+the layers it runs when it runs, so a process pays to load only those.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
@@ -33,31 +32,30 @@ _EXIT_CODES = {UsageError: EXIT_USAGE, BudgetError: EXIT_BUDGET, VerificationErr
                StructuralError: EXIT_STRUCTURAL, OSError: EXIT_STRUCTURAL}
 
 
-def _budget(flag: Optional[int], name: str, fallback: int) -> int:
+_BUDGETS = {"half_edge_budget": ("MOBEX_HALF_EDGE_BUDGET", HALF_EDGE_BUDGET),
+            "mu_budget": ("MOBEX_MU_BUDGET", MU_ASSIGNMENT_BUDGET),
+            "oracle_budget": ("MOBEX_ORACLE_BUDGET", ORACLE_DEGREE_BUDGET)}
+
+
+def _budget(args: argparse.Namespace, dest: str) -> int:
     """The flag wins over the environment variable, which wins over the fallback.
 
     The variable is read even under a flag, so a malformed one always fails.
     """
-    text = os.environ.get(name)
+    name, fallback = _BUDGETS[dest]
     try:
-        value = fallback if text is None else int(text)
+        value = int(os.environ.get(name, fallback))
     except ValueError as exc:
-        raise UsageError("%s must be an integer, got %r" % (name, text)) from exc
+        raise UsageError("%s must be an integer, got %r" % (name, os.environ[name])) from exc
+    flag = getattr(args, dest)
     return value if flag is None else flag
 
 
-@dataclass
-class Budgets:
-    half_edges: int
-    mu_assignments: int
-    oracle_degree: int
+class _Parser(argparse.ArgumentParser):
+    """Argument errors fail like every other usage error: exit 2, one JSON record."""
 
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "Budgets":
-        return Budgets(
-            _budget(args.half_edge_budget, "MOBEX_HALF_EDGE_BUDGET", HALF_EDGE_BUDGET),
-            _budget(args.mu_budget, "MOBEX_MU_BUDGET", MU_ASSIGNMENT_BUDGET),
-            _budget(args.oracle_budget, "MOBEX_ORACLE_BUDGET", ORACLE_DEGREE_BUDGET))
+    def error(self, message: str):
+        raise UsageError("%s: %s" % (self.prog, message))
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -104,23 +102,26 @@ def _jsonable(obj):
         return "<unrenderable %s>" % type(obj).__name__
 
 
-def _emit(data, fmt: str, table_rows=None) -> None:
+def _json_only(args: argparse.Namespace) -> None:
+    """A mode that prints one JSON record refuses a table format before it runs."""
+    if args.format != "json":
+        raise UsageError("%s %s has no --format %s" % (args.subcommand, args.mode, args.format))
+
+
+def _emit(data, fmt: str = "json", table_rows=None) -> None:
     if fmt == "json":
         print(json.dumps(data, indent=2, sort_keys=True))
-    elif fmt == "csv" and table_rows is not None:
-        header, rows = table_rows
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(x) for x in row))
-    elif fmt == "table" and table_rows is not None:
-        header, rows = table_rows
-        widths = [max(len(str(x)) for x in [h] + [r[i] for r in rows] or [h])
-                  for i, h in enumerate(header)]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for row in rows:
-            print("  ".join(str(x).ljust(w) for x, w in zip(row, widths)))
-    else:
-        print(json.dumps(data, indent=2, sort_keys=True))
+        return
+    header, rows = table_rows
+    if fmt == "csv":  # quoted where a cell holds a comma or a quote, as JSON cells do
+        import csv
+        csv.writer(sys.stdout, lineterminator="\n").writerows([header] + rows)
+        return
+    widths = [max(len(str(x)) for x in [h] + [r[i] for r in rows] or [h])
+              for i, h in enumerate(header)]
+    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+    for row in rows:
+        print("  ".join(str(x).ljust(w) for x, w in zip(row, widths)))
 
 
 def _topology_json(topo) -> dict:
@@ -135,39 +136,31 @@ def _topology_json(topo) -> dict:
 
 # -- subcommands -------------------------------------------------------------------
 
-def _cmd_graphs(args: argparse.Namespace, budgets: Budgets) -> int:
+def _cmd_graphs(args: argparse.Namespace) -> int:
     from . import catalog
 
     entries = catalog.enumerate_graphs(
         _parse_profile(args.profile), connected_only=args.connected,
-        half_edge_budget=budgets.half_edges)
-    data = []
-    rows = []
-    for entry in entries:
-        record = {
-            "code": entry.code.decode(),
-            "aut_moebius": entry.aut_moebius,
-            "aut_ribbon": entry.aut_ribbon,
-            "topology": _topology_json(entry.topology),
-            "rotations": [list(r) for r in entry.graph.rotations],
-            "edges": [list(e) for e in entry.graph.edges],
-            "twists": [bool(t) for t in entry.graph.twists],
-        }
-        data.append(record)
-        topo = entry.topology
-        rows.append([topo.v, topo.e, topo.f, topo.chi,
-                     "yes" if topo.natural == 1 else "no",
-                     entry.aut_moebius, entry.aut_ribbon or "-"])
+        half_edge_budget=_budget(args, "half_edge_budget"))
+    data = [{"code": entry.code.decode(), "aut_moebius": entry.aut_moebius,
+             "aut_ribbon": entry.aut_ribbon, "topology": _topology_json(entry.topology),
+             "rotations": [list(r) for r in entry.graph.rotations],
+             "edges": [list(e) for e in entry.graph.edges],
+             "twists": [bool(t) for t in entry.graph.twists]} for entry in entries]
+    rows = [[entry.topology.v, entry.topology.e, entry.topology.f, entry.topology.chi,
+             "yes" if entry.topology.natural == 1 else "no",
+             entry.aut_moebius, entry.aut_ribbon or "-"] for entry in entries]
     _emit(data, args.format,
           (["v", "e", "f", "chi", "orientable", "aut", "aut_ribbon"], rows))
     return 0
 
 
-def _cmd_expand(args: argparse.Namespace, budgets: Budgets) -> int:
+def _cmd_expand(args: argparse.Namespace) -> int:
     from . import series
 
     logz = series.expand_logZ(args.tag, args.max_degree, args.beta, args.t1, args.t2,
-                              half_edge_budget=budgets.half_edges, threads=args.threads)
+                              half_edge_budget=_budget(args, "half_edge_budget"),
+                              threads=args.threads)
     # expansion order, as the monomials are generated, not sorted
     data = [{"monomial": list(m), "coeff": c.to_json()} for m, c in logz.terms.items()]
     rows = [[" ".join("t%d" % j for j in rec["monomial"]),
@@ -176,13 +169,14 @@ def _cmd_expand(args: argparse.Namespace, budgets: Budgets) -> int:
     return 0
 
 
-def _cmd_mu(args: argparse.Namespace, budgets: Budgets) -> int:
+def _cmd_mu(args: argparse.Namespace) -> int:
     from . import sprinkle
     from .graphs import graph_from_json, topology
 
     with open(args.graph) as handle:
         graph = graph_from_json(handle.read())
-    report = sprinkle.mu_report(graph, args.beta, assignment_budget=budgets.mu_assignments)
+    report = sprinkle.mu_report(graph, args.beta,
+                                assignment_budget=_budget(args, "mu_budget"))
     data = {
         "graph_id": report.graph_id,
         "beta": report.beta,
@@ -192,27 +186,30 @@ def _cmd_mu(args: argparse.Namespace, budgets: Budgets) -> int:
         "topology": _topology_json(topology(graph)),
         "agree": report.mu_bruteforce == report.mu_closed,
     }
-    _emit(data, args.format)
+    _emit(data)
     if report.mu_bruteforce != report.mu_closed:
         raise VerificationError("mu bruteforce disagrees with the closed form",
                                 payload=data)
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace, budgets: Budgets) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> int:
     from . import oracle
 
+    half_edges = _budget(args, "half_edge_budget")
+    degree_budget = _budget(args, "oracle_budget")
     scale = _parse_fraction(args.scale)
     if args.mode == "mc":
+        _json_only(args)
         powers = _parse_powers(args.powers)
         mean, err = oracle.mc_estimate(args.beta, args.n, powers, args.samples,
                                        args.seed, scale=scale)
         _emit({"mean": mean, "stderr": err, "beta": args.beta, "n": args.n,
                "powers": list(powers), "samples": args.samples,
-               "seed": args.seed, "scale": str(scale)}, args.format)
+               "seed": args.seed, "scale": str(scale)})
         return 0
     reports = oracle.oracle_compare(args.beta, args.tag, args.max_degree, [args.n],
-                                    budget=budgets.oracle_degree)
+                                    budget=degree_budget, half_edge_budget=half_edges)
     data = [{"monomial": list(r.monomial), "n": r.n,
              "graph_sum": str(r.predicted), "oracle": str(r.exact),
              "equal": r.equal} for r in reports]
@@ -222,12 +219,13 @@ def _cmd_oracle(args: argparse.Namespace, budgets: Budgets) -> int:
     return 0
 
 
-def _cmd_penner(args: argparse.Namespace, budgets: Budgets) -> int:
+def _cmd_penner(args: argparse.Namespace) -> int:
     from . import penner
 
     if args.mode == "euler":
+        _json_only(args)
         value = penner.real_moduli_euler(args.q, args.n)
-        _emit({"q": args.q, "n": args.n, "euler_characteristic": str(value)}, args.format)
+        _emit({"q": args.q, "n": args.n, "euler_characteristic": str(value)})
         return 0
     if args.model == "K":
         zs = penner.K_series(args.order, args.alpha)
@@ -242,19 +240,20 @@ def _cmd_penner(args: argparse.Namespace, budgets: Budgets) -> int:
     return 0
 
 
-def _cmd_charpoly(args: argparse.Namespace, budgets: Budgets) -> int:
+def _cmd_charpoly(args: argparse.Namespace) -> int:
     from . import dualchar
 
+    half_edges = _budget(args, "half_edge_budget")
     if args.mode == "verify":
+        _json_only(args)
         report = dualchar.verify_polynomial_identity(args.N, args.k, args.which)
         _emit({"which": report.which, "N": report.n, "k": report.k,
                "equal": report.equal,
                "lhs": [[list(key), str(val)] for key, val in report.lhs],
-               "rhs": [[list(key), str(val)] for key, val in report.rhs]},
-              args.format)
+               "rhs": [[list(key), str(val)] for key, val in report.rhs]})
         return 0
     side = dualchar.charpoly_lhs if args.side == "lhs" else dualchar.charpoly_rhs
-    lam = side(args.ensemble, args.max_degree, half_edge_budget=budgets.half_edges)
+    lam = side(args.ensemble, args.max_degree, half_edge_budget=half_edges)
     _emit(lam.to_json(), args.format,
           (["monomial", "coefficient"],
            [[" ".join("tau%d" % j for j in key), json.dumps(val.to_json(), sort_keys=True)]
@@ -262,17 +261,18 @@ def _cmd_charpoly(args: argparse.Namespace, budgets: Budgets) -> int:
     return 0
 
 
-def _cmd_clt(args: argparse.Namespace, budgets: Budgets) -> int:
+def _cmd_clt(args: argparse.Namespace) -> int:
     from . import clt
 
+    half_edges = _budget(args, "half_edge_budget")
     alpha = _parse_fraction(args.alpha)
-    result = clt.clt_limit(alpha, args.jmax, half_edge_budget=budgets.half_edges)
+    result = clt.clt_limit(alpha, args.jmax, half_edge_budget=half_edges)
     data = {"alpha": str(result.alpha),
             "quadratic_form": [[list(pair), str(val)]
                                for pair, val in result.quadratic_form]}
     if args.verify:
         report = clt.verify_clt(alpha, args.jmax, args.max_degree,
-                                half_edge_budget=budgets.half_edges)
+                                half_edge_budget=half_edges)
         data["verified"] = report.equal
         data["matched_pairs"] = report.matched
     _emit(data, args.format,
@@ -281,11 +281,12 @@ def _cmd_clt(args: argparse.Namespace, budgets: Budgets) -> int:
     return 0
 
 
-def _cmd_duality(args: argparse.Namespace, budgets: Budgets) -> int:
+def _cmd_duality(args: argparse.Namespace) -> int:
     from . import series
 
     alpha = _parse_fraction(args.alpha)
-    inv = series.expand_logZ("invariant", args.max_degree, half_edge_budget=budgets.half_edges)
+    inv = series.expand_logZ("invariant", args.max_degree,
+                             half_edge_budget=_budget(args, "half_edge_budget"))
     dual = series.apply_duality(inv)
     involution = series.apply_duality(dual) == inv
     pointwise = dual == inv
@@ -295,7 +296,7 @@ def _cmd_duality(args: argparse.Namespace, budgets: Budgets) -> int:
             "self_dual_graph_by_graph": pointwise,
             "reduced_at_alpha_equal": reduced_equal,
             "monomials": len(inv.terms)}
-    _emit(data, args.format)
+    _emit(data)
     if not (involution and pointwise and reduced_equal):
         raise VerificationError("duality check failed", payload=data)
     return 0
@@ -304,39 +305,48 @@ def _cmd_duality(args: argparse.Namespace, budgets: Budgets) -> int:
 # -- parser -------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "table", "csv"], default="json")
-    common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--half-edge-budget", type=int, default=None)
-    common.add_argument("--mu-budget", type=int, default=None)
-    common.add_argument("--oracle-budget", type=int, default=None)
+    def option(flag, **kwargs):
+        holder = _Parser(add_help=False)
+        holder.add_argument(flag, **kwargs)
+        return holder
 
-    parser = argparse.ArgumentParser(
+    fmt = option("--format", choices=["json", "table", "csv"], default="json")
+    threads = option("--threads", type=int, default=1)
+    half_edges = option("--half-edge-budget", type=int)
+    mu_budget = option("--mu-budget", type=int)
+    oracle_budget = option("--oracle-budget", type=int)
+
+    parser = _Parser(
         prog="mobex",
         description="Exact Moebius-graph expansions of GOE/GUE/GSE matrix integrals")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, run, options, about):
+        p = sub.add_parser(name, parents=options, help=about)
+        p.set_defaults(run=run)
+        return p
 
-    p = add_parser("graphs", help="enumerate graph classes for a valence profile")
+    p = add_parser("graphs", _cmd_graphs, [fmt, half_edges],
+                   "enumerate graph classes for a valence profile")
     p.add_argument("--profile", required=True, help="e.g. 3:2,4:1")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--connected", dest="connected", action="store_true", default=True)
     group.add_argument("--all", dest="connected", action="store_false")
 
-    p = add_parser("expand", help="graph-sum expansion of log Z")
+    p = add_parser("expand", _cmd_expand, [fmt, half_edges, threads],
+                   "graph-sum expansion of log Z")
     p.add_argument("--beta", type=int, default=None)
     p.add_argument("--tag", choices=list(TAGS), default="master")
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--no-t1", dest="t1", action="store_false", default=True)
     p.add_argument("--no-t2", dest="t2", action="store_false", default=True)
 
-    p = add_parser("mu", help="signed unit-configuration count of a graph")
+    p = add_parser("mu", _cmd_mu, [mu_budget], "signed unit-configuration count of a graph")
     p.add_argument("--graph", required=True, help="path to graph JSON")
     p.add_argument("--beta", type=int, required=True)
 
-    p = add_parser("oracle", help="eigenvalue-integral cross-check")
+    p = add_parser("oracle", _cmd_oracle, [fmt, half_edges, oracle_budget],
+                   "eigenvalue-integral cross-check")
     p.add_argument("mode", nargs="?", choices=["mc"], default=None)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -347,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--scale", default="1/4")
 
-    p = add_parser("penner", help="Penner closed forms and moduli Euler numbers")
+    p = add_parser("penner", _cmd_penner, [fmt], "Penner closed forms and moduli Euler numbers")
     p.add_argument("mode", nargs="?", choices=["euler"], default=None)
     p.add_argument("--model", choices=["K", "J", "I"], default="K")
     p.add_argument("--alpha", type=int, default=1)
@@ -357,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=0)
     p.add_argument("--n", type=int, default=2)
 
-    p = add_parser("charpoly", help="characteristic-polynomial duality series")
+    p = add_parser("charpoly", _cmd_charpoly, [fmt, half_edges],
+                   "characteristic-polynomial duality series")
     p.add_argument("mode", nargs="?", choices=["verify"], default=None)
     p.add_argument("--ensemble", choices=["gue", "goe", "gse"], default="gue")
     p.add_argument("--side", choices=["lhs", "rhs"], default="lhs")
@@ -366,36 +377,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--k", type=int, default=1)
 
-    p = add_parser("clt", help="central-limit quadratic form")
+    p = add_parser("clt", _cmd_clt, [fmt, half_edges], "central-limit quadratic form")
     p.add_argument("--alpha", default="1")
     p.add_argument("--jmax", type=int, default=4)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--max-degree", type=int, default=6)
 
-    p = add_parser("duality", help="alpha -> 1/alpha, N -> -alpha N involution check")
+    p = add_parser("duality", _cmd_duality, [half_edges],
+                   "alpha -> 1/alpha, N -> -alpha N involution check")
     p.add_argument("--alpha", default="2")
     p.add_argument("--max-degree", type=int, default=6)
 
     return parser
 
 
-_DISPATCH = {
-    "graphs": _cmd_graphs,
-    "expand": _cmd_expand,
-    "mu": _cmd_mu,
-    "oracle": _cmd_oracle,
-    "penner": _cmd_penner,
-    "charpoly": _cmd_charpoly,
-    "clt": _cmd_clt,
-    "duality": _cmd_duality,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = _DISPATCH[args.subcommand](args, Budgets.from_args(args))
+        args = build_parser().parse_args(argv)
+        code = args.run(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

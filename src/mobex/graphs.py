@@ -33,8 +33,7 @@ class MoebiusGraph:
     def __init__(self,
                  rotations: Sequence[Sequence[int]],
                  edges: Sequence[Sequence[int]],
-                 twists: Sequence[bool],
-                 check: bool = True):
+                 twists: Sequence[bool]):
         self.rotations: Tuple[Tuple[int, ...], ...] = tuple(tuple(r) for r in rotations)
         self.edges: Tuple[Tuple[int, int], ...] = tuple(
             (min(a, b), max(a, b)) for a, b in edges)
@@ -63,13 +62,10 @@ class MoebiusGraph:
                 succ[h] = rot[(i + 1) % len(rot)]
                 pred[h] = rot[i - 1]
 
-        if check:
-            if len(self.twists) != len(self.edges):
-                raise StructuralError("one twist bit per edge required")
-            if any(p < 0 for p in partner):
-                raise StructuralError("edge pairing does not cover all half-edges")
-            if any(v < 0 for v in vertex_of):
-                raise StructuralError("rotations do not cover all half-edges")
+        if len(self.twists) != len(self.edges):
+            raise StructuralError("one twist bit per edge required")
+        if any(p < 0 for p in partner):
+            raise StructuralError("edge pairing does not cover all half-edges")
 
         self._partner = tuple(partner)
         self._succ = tuple(succ)

@@ -32,7 +32,8 @@ from itertools import product
 from math import factorial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .errors import ORACLE_DEGREE_BUDGET, BudgetError, UsageError, VerificationError
+from .errors import (HALF_EDGE_BUDGET, ORACLE_DEGREE_BUDGET, BudgetError, UsageError,
+                     VerificationError)
 from .npoly import NPoly
 from .series import (CouplingSeries, _dropped_couplings, _validate_tag, expand_logZ,
                      tag_monomials)
@@ -223,7 +224,8 @@ def oracle_logZ(beta: int, tag: str, degree: int, n: int,
 
 def oracle_compare(beta: int, tag: str, degree: int, sizes: Sequence[int],
                    include_t1: bool = True, include_t2: bool = True,
-                   budget: int = ORACLE_DEGREE_BUDGET) -> List[OracleReport]:
+                   budget: int = ORACLE_DEGREE_BUDGET,
+                   half_edge_budget: int = HALF_EDGE_BUDGET) -> List[OracleReport]:
     """Exact comparison of the Moebius-graph sum against eigenvalue moments.
 
     The oracle sides come first: they check the degree budget, which must
@@ -232,7 +234,8 @@ def oracle_compare(beta: int, tag: str, degree: int, sizes: Sequence[int],
     oracle_sides = [(n, oracle_logZ(beta, tag, degree, n, include_t1, include_t2, budget))
                     for n in sizes]
     graph_side = expand_logZ(tag, degree, beta=None if tag == "invariant" else beta,
-                             include_t1=include_t1, include_t2=include_t2)
+                             include_t1=include_t1, include_t2=include_t2,
+                             half_edge_budget=half_edge_budget)
     if tag == "invariant":
         graph_side = graph_side.reduce_root(Fraction(beta, 2))
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -247,6 +249,20 @@ def test_table_and_csv_formats(capsys):
     assert code == 0 and out.splitlines()[0].startswith("v,e,f")
 
 
+def test_csv_quotes_json_cells(capsys):
+    code, out, _ = run_cli(capsys, "expand", "--beta", "1", "--max-degree", "4",
+                           "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["monomial", "coefficient"]
+    terms = series.expand_logZ("master", 4, 1).terms
+    assert len(rows) == len(terms)
+    for row, (monomial, coeff) in zip(rows, terms.items()):
+        assert len(row) == len(header)
+        assert row[0] == " ".join("t%d" % j for j in monomial)
+        assert json.loads(row[1]) == coeff.to_json()
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("tag", series.TAGS)
 def test_expand_output_is_expand_logZ(capsys, tag, threads):
@@ -291,16 +307,32 @@ def test_oracle_over_degree_budget_skips_the_graph_side(monkeypatch, capsys):
         "code": cli.EXIT_BUDGET}
 
 
-@pytest.mark.parametrize("name", ["MOBEX_HALF_EDGE_BUDGET", "MOBEX_MU_BUDGET",
-                                  "MOBEX_ORACLE_BUDGET"])
-def test_non_integer_env_budget_is_usage_error(monkeypatch, capsys, name):
+# each budget variable -> a subcommand that reads it; "{tmp}" holds klein.json
+ENV_BUDGET_READERS = {
+    "MOBEX_HALF_EDGE_BUDGET": "graphs --profile 2:1",
+    "MOBEX_MU_BUDGET": "mu --graph {tmp}/klein.json --beta 2",
+    "MOBEX_ORACLE_BUDGET": "oracle --beta 1 --n 2 --max-degree 2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENV_BUDGET_READERS))
+def test_non_integer_env_budget_is_usage_error(tmp_path, monkeypatch, capsys, name):
+    (tmp_path / "klein.json").write_text(
+        graph_to_json(MoebiusGraph([(0, 1, 2, 3)], [(0, 1), (2, 3)], [True, True])))
     monkeypatch.setenv(name, "abc")
-    code, out, err = run_cli(capsys, "graphs", "--profile", "2:1")
+    code, out, err = run_cli(capsys, *ENV_BUDGET_READERS[name].format(tmp=tmp_path).split())
     assert code == cli.EXIT_USAGE and out == ""
     lines = err.splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert record["code"] == cli.EXIT_USAGE and name in record["error"]
+
+
+def test_env_budget_is_read_only_under_its_flag(monkeypatch, capsys):
+    # graphs has no --mu-budget, so a malformed MOBEX_MU_BUDGET is not its input
+    monkeypatch.setenv("MOBEX_MU_BUDGET", "abc")
+    code, out, err = run_cli(capsys, "graphs", "--profile", "2:1")
+    assert code == 0 and out and err == ""
 
 
 @pytest.mark.parametrize("twists", ['["false"]', '[0]', '"x"'])
@@ -382,6 +414,20 @@ FAILURE_CONTRACT = [
     ("expand --beta 1 --max-degree 40", cli.EXIT_BUDGET),
     ("expand --beta 1 --max-degree 70", cli.EXIT_BUDGET),
     ("mu --graph {tmp}/garbled.json --beta 1", cli.EXIT_STRUCTURAL),
+    # argument errors: one JSON record, not argparse's usage text
+    ("expand --max-degree x", cli.EXIT_USAGE),
+    ("expand --tag foo --max-degree 2", cli.EXIT_USAGE),
+    ("graphs", cli.EXIT_USAGE),
+    ("nosuch", cli.EXIT_USAGE),
+    # a subcommand refuses an option it does not read
+    ("graphs --profile 3:2 --threads 2", cli.EXIT_USAGE),
+    ("mu --graph {tmp}/klein.json --beta 2 --format json", cli.EXIT_USAGE),
+    # a mode that prints one JSON record has no table
+    ("oracle mc --beta 1 --n 2 --samples 10 --format csv", cli.EXIT_USAGE),
+    ("penner euler --format table", cli.EXIT_USAGE),
+    ("charpoly verify --format csv", cli.EXIT_USAGE),
+    # the oracle's graph side honours the half-edge budget, as expand does
+    ("oracle --beta 1 --n 2 --max-degree 6 --half-edge-budget 4", cli.EXIT_BUDGET),
 ]
 
 

@@ -188,6 +188,8 @@ def test_structural_validation():
         MoebiusGraph([(0,), (0, 1)], [(0, 1)], [False])  # repeated half-edge
     with pytest.raises(StructuralError):
         MoebiusGraph([(0, 1)], [(0, 1)], [])  # missing twist bit
+    with pytest.raises(StructuralError):
+        MoebiusGraph([(0, 1), (2,)], [], [])  # half-edges left unpaired
 
 
 def test_json_round_trip():

@@ -123,6 +123,12 @@ def test_budget_guard(monkeypatch):
         oracle_compare(1, "master", 10, [2], budget=8)
 
 
+def test_graph_side_honours_the_half_edge_budget():
+    # degree 6 needs 6 half-edges: within the oracle's degree budget, over this one
+    with pytest.raises(BudgetError, match="needs 6 half-edges, budget is 4"):
+        oracle_compare(1, "master", 6, [2], half_edge_budget=4)
+
+
 @pytest.mark.parametrize("tag, beta", [("master", 1), ("hermitian", 2), ("gse-penner", 4)])
 @pytest.mark.parametrize("t1, t2", [(True, True), (False, True), (True, False), (False, False)])
 def test_budget_error_counts_the_monomials_it_would_compute(tag, beta, t1, t2):
