@@ -40,10 +40,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, floor, lgamma, log, log10, prod
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from math import factorial, lgamma, log, log10, prod
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import HALF_EDGE_BUDGET, BudgetError, StructuralError, UsageError
+from .errors import HALF_EDGE_BUDGET, BudgetError, StructuralError, UsageError, figure
 from .graphs import MoebiusGraph, TopologyProfile, flip_vertex, topology
 from .npoly import NPoly
 
@@ -312,17 +312,6 @@ def _layout(key: ProfileKey):
     return rotations, succ, pred, [v for v, rot in enumerate(rotations) for _ in rot]
 
 
-def _figure(log10_count: float, exact: Callable[[], int]) -> str:
-    """A count given its log10: exact below 30 digits, else to two figures."""
-    if log10_count < 30:
-        return "%d" % exact()
-    power = floor(log10_count)
-    mantissa = round(10 ** (log10_count - power), 1)
-    if mantissa >= 10:
-        mantissa, power = 1.0, power + 1
-    return "about %.1fe%d" % (mantissa, power)
-
-
 def _budgeted_key(profile, budget: int, twist_bits: Optional[Tuple[int, ...]] = None
                   ) -> ProfileKey:
     """The profile's key, after refusing more than ``budget`` half-edges.
@@ -337,15 +326,15 @@ def _budgeted_key(profile, budget: int, twist_bits: Optional[Tuple[int, ...]] = 
     if n > budget:
         e = n // 2
         log_matchings = (lgamma(n + 1) - lgamma(e + 1)) / log(10) - e * log10(2)
-        matchings = _figure(log_matchings, lambda: prod(range(n - 1, 0, -2)))
+        matchings = figure(log_matchings, lambda: prod(range(n - 1, 0, -2)))
         if twist_bits is None:
             cost = "%s matchings" % matchings
         elif len(twist_bits) == 1:
             cost = "%s untwisted labelled gluings" % matchings
         else:
             cost = "%s labelled gluings: %s matchings x %s twist patterns" % (
-                _figure(log_matchings + e * log10(2), lambda: prod(range(n - 1, 0, -2)) << e),
-                matchings, _figure(e * log10(2), lambda: 1 << e))
+                figure(log_matchings + e * log10(2), lambda: prod(range(n - 1, 0, -2)) << e),
+                matchings, figure(e * log10(2), lambda: 1 << e))
         raise BudgetError("profile %s needs %d half-edges (%s), budget is %d"
                           % (counts, n, cost, budget))
     return profile_key(counts)

@@ -5,8 +5,9 @@ failure (its "payload" joins the stderr record), 5 malformed structural
 input, 141 stdout closed.  All exact output is JSON with rationals
 rendered "p/q"; --threads never changes a byte.
 
-Each subcommand accepts only the options its runner reads, and imports
-the layers it runs when it runs, so a process pays to load only those.
+Each subcommand, and each mode of one ("oracle mc", ...), is a parser that
+accepts and parses only the options its runner reads; a runner imports the
+layers it runs when it runs, so a process pays to load only those.
 """
 
 from __future__ import annotations
@@ -58,11 +59,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError("%s: %s" % (self.prog, message))
 
 
+# argparse types: the parser reports their errors as usage errors
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError("not a rational: %r" % text) from exc
+        raise argparse.ArgumentTypeError("not a rational: %r" % text) from exc
 
 
 def _parse_profile(text: str) -> dict:
@@ -72,7 +74,7 @@ def _parse_profile(text: str) -> dict:
             j, count = chunk.split(":")
             profile[int(j)] = profile.get(int(j), 0) + int(count)
     except ValueError as exc:
-        raise UsageError("profile must look like '3:2,4:1'") from exc
+        raise argparse.ArgumentTypeError("profile must look like '3:2,4:1'") from exc
     return profile
 
 
@@ -80,7 +82,7 @@ def _parse_powers(text: str) -> tuple:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise UsageError("powers must look like '2' or '1,3', got %r" % text) from exc
+        raise argparse.ArgumentTypeError("powers must look like '1,3', got %r" % text) from exc
 
 
 def _jsonable(obj):
@@ -100,12 +102,6 @@ def _jsonable(obj):
         return str(obj)  # Fraction as "p/q"; floats, NaN included, as text
     except Exception:  # a payload must never mask the failure it reports
         return "<unrenderable %s>" % type(obj).__name__
-
-
-def _json_only(args: argparse.Namespace) -> None:
-    """A mode that prints one JSON record refuses a table format before it runs."""
-    if args.format != "json":
-        raise UsageError("%s %s has no --format %s" % (args.subcommand, args.mode, args.format))
 
 
 def _emit(data, fmt: str = "json", table_rows=None) -> None:
@@ -136,11 +132,11 @@ def _topology_json(topo) -> dict:
 
 # -- subcommands -------------------------------------------------------------------
 
-def _cmd_graphs(args: argparse.Namespace) -> int:
+def _cmd_graphs(args: argparse.Namespace) -> None:
     from . import catalog
 
     entries = catalog.enumerate_graphs(
-        _parse_profile(args.profile), connected_only=args.connected,
+        args.profile, connected_only=args.connected,
         half_edge_budget=_budget(args, "half_edge_budget"))
     data = [{"code": entry.code.decode(), "aut_moebius": entry.aut_moebius,
              "aut_ribbon": entry.aut_ribbon, "topology": _topology_json(entry.topology),
@@ -152,10 +148,9 @@ def _cmd_graphs(args: argparse.Namespace) -> int:
              entry.aut_moebius, entry.aut_ribbon or "-"] for entry in entries]
     _emit(data, args.format,
           (["v", "e", "f", "chi", "orientable", "aut", "aut_ribbon"], rows))
-    return 0
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
+def _cmd_expand(args: argparse.Namespace) -> None:
     from . import series
 
     logz = series.expand_logZ(args.tag, args.max_degree, args.beta, args.t1, args.t2,
@@ -166,10 +161,9 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     rows = [[" ".join("t%d" % j for j in rec["monomial"]),
              json.dumps(rec["coeff"], sort_keys=True)] for rec in data]
     _emit(data, args.format, (["monomial", "coefficient"], rows))
-    return 0
 
 
-def _cmd_mu(args: argparse.Namespace) -> int:
+def _cmd_mu(args: argparse.Namespace) -> None:
     from . import sprinkle
     from .graphs import graph_from_json, topology
 
@@ -190,108 +184,109 @@ def _cmd_mu(args: argparse.Namespace) -> int:
     if report.mu_bruteforce != report.mu_closed:
         raise VerificationError("mu bruteforce disagrees with the closed form",
                                 payload=data)
-    return 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> None:
     from . import oracle
 
-    half_edges = _budget(args, "half_edge_budget")
-    degree_budget = _budget(args, "oracle_budget")
-    scale = _parse_fraction(args.scale)
-    if args.mode == "mc":
-        _json_only(args)
-        powers = _parse_powers(args.powers)
-        mean, err = oracle.mc_estimate(args.beta, args.n, powers, args.samples,
-                                       args.seed, scale=scale)
-        _emit({"mean": mean, "stderr": err, "beta": args.beta, "n": args.n,
-               "powers": list(powers), "samples": args.samples,
-               "seed": args.seed, "scale": str(scale)})
-        return 0
     reports = oracle.oracle_compare(args.beta, args.tag, args.max_degree, [args.n],
-                                    budget=degree_budget, half_edge_budget=half_edges)
+                                    budget=_budget(args, "oracle_budget"),
+                                    half_edge_budget=_budget(args, "half_edge_budget"))
     data = [{"monomial": list(r.monomial), "n": r.n,
              "graph_sum": str(r.predicted), "oracle": str(r.exact),
              "equal": r.equal} for r in reports]
     rows = [[" ".join("t%d" % j for j in r.monomial), r.n,
              str(r.predicted), str(r.exact), r.equal] for r in reports]
     _emit(data, args.format, (["monomial", "n", "graph_sum", "oracle", "equal"], rows))
-    return 0
 
 
-def _cmd_penner(args: argparse.Namespace) -> int:
+def _cmd_oracle_mc(args: argparse.Namespace) -> None:
+    from . import oracle
+
+    mean, err = oracle.mc_estimate(args.beta, args.n, args.powers, args.samples,
+                                   args.seed, scale=args.scale)
+    _emit({"mean": mean, "stderr": err, "beta": args.beta, "n": args.n,
+           "powers": list(args.powers), "samples": args.samples,
+           "seed": args.seed, "scale": str(args.scale)})
+
+
+def _cmd_penner(args: argparse.Namespace) -> None:
     from . import penner
 
-    if args.mode == "euler":
-        _json_only(args)
-        value = penner.real_moduli_euler(args.q, args.n)
-        _emit({"q": args.q, "n": args.n, "euler_characteristic": str(value)})
-        return 0
-    if args.model == "K":
-        zs = penner.K_series(args.order, args.alpha)
-    elif args.model == "J":
-        zs = penner.J_series(args.order, args.gamma)
-    else:
-        zs = penner.I_series(args.order, _parse_fraction(args.r))
+    # each model reads one parameter, 1 unless given
+    own, closed_form = {"K": ("alpha", penner.K_series), "J": ("gamma", penner.J_series),
+                   "I": ("r", penner.I_series)}[args.model]
+    for name in ("alpha", "gamma", "r"):
+        if name != own and getattr(args, name) is not None:
+            raise UsageError("penner --model %s reads --%s, not --%s" % (args.model, own, name))
+    value = getattr(args, own)
+    zs = closed_form(args.order, Fraction(1) if value is None else value)
     _emit(zs.to_json(), args.format,
           (["z^m", "coefficient"],
            [["z^%d" % m, json.dumps(zs.coeffs[m].to_json(), sort_keys=True)]
             for m in sorted(zs.coeffs)]))
-    return 0
 
 
-def _cmd_charpoly(args: argparse.Namespace) -> int:
+def _cmd_penner_euler(args: argparse.Namespace) -> None:
+    from . import penner
+
+    value = penner.real_moduli_euler(args.q, args.n)
+    _emit({"q": args.q, "n": args.n, "euler_characteristic": str(value)})
+
+
+def _cmd_charpoly(args: argparse.Namespace) -> None:
     from . import dualchar
 
-    half_edges = _budget(args, "half_edge_budget")
-    if args.mode == "verify":
-        _json_only(args)
-        report = dualchar.verify_polynomial_identity(args.N, args.k, args.which)
-        _emit({"which": report.which, "N": report.n, "k": report.k,
-               "equal": report.equal,
-               "lhs": [[list(key), str(val)] for key, val in report.lhs],
-               "rhs": [[list(key), str(val)] for key, val in report.rhs]})
-        return 0
     side = dualchar.charpoly_lhs if args.side == "lhs" else dualchar.charpoly_rhs
-    lam = side(args.ensemble, args.max_degree, half_edge_budget=half_edges)
+    lam = side(args.ensemble, args.max_degree,
+               half_edge_budget=_budget(args, "half_edge_budget"))
     _emit(lam.to_json(), args.format,
           (["monomial", "coefficient"],
            [[" ".join("tau%d" % j for j in key), json.dumps(val.to_json(), sort_keys=True)]
             for key, val in sorted(lam.terms.items())]))
-    return 0
 
 
-def _cmd_clt(args: argparse.Namespace) -> int:
+def _cmd_charpoly_verify(args: argparse.Namespace) -> None:
+    from . import dualchar
+
+    report = dualchar.verify_polynomial_identity(args.N, args.k, args.which)
+    _emit({"which": report.which, "N": report.n, "k": report.k,
+           "equal": report.equal,
+           "lhs": [[list(key), str(val)] for key, val in report.lhs],
+           "rhs": [[list(key), str(val)] for key, val in report.rhs]})
+
+
+def _cmd_clt(args: argparse.Namespace) -> None:
+    if args.max_degree is not None and not args.verify:
+        raise UsageError("clt reads --max-degree only with --verify")
     from . import clt
 
     half_edges = _budget(args, "half_edge_budget")
-    alpha = _parse_fraction(args.alpha)
-    result = clt.clt_limit(alpha, args.jmax, half_edge_budget=half_edges)
+    result = clt.clt_limit(args.alpha, args.jmax, half_edge_budget=half_edges)
     data = {"alpha": str(result.alpha),
             "quadratic_form": [[list(pair), str(val)]
                                for pair, val in result.quadratic_form]}
     if args.verify:
-        report = clt.verify_clt(alpha, args.jmax, args.max_degree,
+        report = clt.verify_clt(args.alpha, args.jmax,
+                                6 if args.max_degree is None else args.max_degree,
                                 half_edge_budget=half_edges)
         data["verified"] = report.equal
         data["matched_pairs"] = report.matched
     _emit(data, args.format,
           (["j1 j2", "coefficient"],
            [["%d %d" % pair, str(val)] for pair, val in result.quadratic_form]))
-    return 0
 
 
-def _cmd_duality(args: argparse.Namespace) -> int:
+def _cmd_duality(args: argparse.Namespace) -> None:
     from . import series
 
-    alpha = _parse_fraction(args.alpha)
     inv = series.expand_logZ("invariant", args.max_degree,
                              half_edge_budget=_budget(args, "half_edge_budget"))
     dual = series.apply_duality(inv)
     involution = series.apply_duality(dual) == inv
     pointwise = dual == inv
-    reduced_equal = dual.reduce_root(alpha) == inv.reduce_root(alpha)
-    data = {"alpha": str(alpha), "degree": args.max_degree,
+    reduced_equal = dual.reduce_root(args.alpha) == inv.reduce_root(args.alpha)
+    data = {"alpha": str(args.alpha), "degree": args.max_degree,
             "involution_holds": involution,
             "self_dual_graph_by_graph": pointwise,
             "reduced_at_alpha_equal": reduced_equal,
@@ -299,41 +294,41 @@ def _cmd_duality(args: argparse.Namespace) -> int:
     _emit(data)
     if not (involution and pointwise and reduced_equal):
         raise VerificationError("duality check failed", payload=data)
-    return 0
 
 
 # -- parser -------------------------------------------------------------------------
 
+# the options several parsers share: flag -> add_argument keywords
+_SHARED = {"--format": {"choices": ["json", "table", "csv"], "default": "json"},
+           "--threads": {"type": int, "default": 1},
+           "--half-edge-budget": {"type": int},
+           "--mu-budget": {"type": int},
+           "--oracle-budget": {"type": int}}
+
+# "<subcommand> <mode>" pairs with a parser of their own
+_MODES = ("oracle mc", "penner euler", "charpoly verify")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    def option(flag, **kwargs):
-        holder = _Parser(add_help=False)
-        holder.add_argument(flag, **kwargs)
-        return holder
-
-    fmt = option("--format", choices=["json", "table", "csv"], default="json")
-    threads = option("--threads", type=int, default=1)
-    half_edges = option("--half-edge-budget", type=int)
-    mu_budget = option("--mu-budget", type=int)
-    oracle_budget = option("--oracle-budget", type=int)
-
-    parser = _Parser(
-        prog="mobex",
-        description="Exact Moebius-graph expansions of GOE/GUE/GSE matrix integrals")
+    parser = _Parser(prog="mobex", description="Exact Moebius-graph expansions of"
+                     " GOE/GUE/GSE matrix integrals")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_parser(name, run, options, about):
-        p = sub.add_parser(name, parents=options, help=about)
+    def add_parser(name, run, shared, about):
+        p = sub.add_parser(name, help=about)
         p.set_defaults(run=run)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED[flag])
         return p
 
-    p = add_parser("graphs", _cmd_graphs, [fmt, half_edges],
+    p = add_parser("graphs", _cmd_graphs, ["--format", "--half-edge-budget"],
                    "enumerate graph classes for a valence profile")
-    p.add_argument("--profile", required=True, help="e.g. 3:2,4:1")
+    p.add_argument("--profile", type=_parse_profile, required=True, help="e.g. 3:2,4:1")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--connected", dest="connected", action="store_true", default=True)
     group.add_argument("--all", dest="connected", action="store_false")
 
-    p = add_parser("expand", _cmd_expand, [fmt, half_edges, threads],
+    p = add_parser("expand", _cmd_expand, ["--format", "--half-edge-budget", "--threads"],
                    "graph-sum expansion of log Z")
     p.add_argument("--beta", type=int, default=None)
     p.add_argument("--tag", choices=list(TAGS), default="master")
@@ -341,62 +336,72 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-t1", dest="t1", action="store_false", default=True)
     p.add_argument("--no-t2", dest="t2", action="store_false", default=True)
 
-    p = add_parser("mu", _cmd_mu, [mu_budget], "signed unit-configuration count of a graph")
+    p = add_parser("mu", _cmd_mu, ["--mu-budget"], "signed unit-configuration count of a graph")
     p.add_argument("--graph", required=True, help="path to graph JSON")
     p.add_argument("--beta", type=int, required=True)
 
-    p = add_parser("oracle", _cmd_oracle, [fmt, half_edges, oracle_budget],
+    p = add_parser("oracle", _cmd_oracle, ["--format", "--half-edge-budget", "--oracle-budget"],
                    "eigenvalue-integral cross-check")
-    p.add_argument("mode", nargs="?", choices=["mc"], default=None)
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tag", choices=list(TAGS), default="master")
     p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--powers", default="2")
+
+    p = add_parser("oracle mc", _cmd_oracle_mc, [], "Monte Carlo estimate of an eigenvalue moment")
+    p.add_argument("--beta", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--powers", type=_parse_powers, default="2")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--scale", default="1/4")
+    p.add_argument("--scale", type=_parse_fraction, default="1/4")
 
-    p = add_parser("penner", _cmd_penner, [fmt], "Penner closed forms and moduli Euler numbers")
-    p.add_argument("mode", nargs="?", choices=["euler"], default=None)
+    p = add_parser("penner", _cmd_penner, ["--format"], "Penner closed forms")
     p.add_argument("--model", choices=["K", "J", "I"], default="K")
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--gamma", type=int, default=1)
-    p.add_argument("--r", default="1")
+    p.add_argument("--alpha", type=_parse_fraction, help="model K's parameter, default 1")
+    p.add_argument("--gamma", type=_parse_fraction, help="model J's parameter, default 1")
+    p.add_argument("--r", type=_parse_fraction, help="model I's parameter, default 1")
     p.add_argument("--order", type=int, default=8)
+
+    p = add_parser("penner euler", _cmd_penner_euler, [], "real moduli Euler characteristics")
     p.add_argument("--q", type=int, default=0)
     p.add_argument("--n", type=int, default=2)
 
-    p = add_parser("charpoly", _cmd_charpoly, [fmt, half_edges],
+    p = add_parser("charpoly", _cmd_charpoly, ["--format", "--half-edge-budget"],
                    "characteristic-polynomial duality series")
-    p.add_argument("mode", nargs="?", choices=["verify"], default=None)
     p.add_argument("--ensemble", choices=["gue", "goe", "gse"], default="gue")
     p.add_argument("--side", choices=["lhs", "rhs"], default="lhs")
     p.add_argument("--max-degree", type=int, default=6)
+
+    p = add_parser("charpoly verify", _cmd_charpoly_verify, [],
+                   "finite-N characteristic-polynomial duality check")
     p.add_argument("--which", choices=["BHC", "BHQ"], default="BHC")
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--k", type=int, default=1)
 
-    p = add_parser("clt", _cmd_clt, [fmt, half_edges], "central-limit quadratic form")
-    p.add_argument("--alpha", default="1")
+    p = add_parser("clt", _cmd_clt, ["--format", "--half-edge-budget"],
+                   "central-limit quadratic form")
+    p.add_argument("--alpha", type=_parse_fraction, default="1")
     p.add_argument("--jmax", type=int, default=4)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--max-degree", type=int, default=6)
+    p.add_argument("--max-degree", type=int, help="with --verify, default 6")
 
-    p = add_parser("duality", _cmd_duality, [half_edges],
+    p = add_parser("duality", _cmd_duality, ["--half-edge-budget"],
                    "alpha -> 1/alpha, N -> -alpha N involution check")
-    p.add_argument("--alpha", default="2")
+    p.add_argument("--alpha", type=_parse_fraction, default="2")
     p.add_argument("--max-degree", type=int, default=6)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if " ".join(argv[:2]) in _MODES:  # "oracle mc ..." runs the parser "oracle mc"
+        argv[:2] = [" ".join(argv[:2])]
     try:
         args = build_parser().parse_args(argv)
-        code = args.run(args)
+        args.run(args)
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # the reader went away: keep the exit-time flush off the closed pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

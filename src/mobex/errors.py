@@ -1,4 +1,4 @@
-"""Exception taxonomy and default budgets shared by all modules.
+"""Exception taxonomy, default budgets and budget-count rendering for all modules.
 
 Each class maps to a distinct CLI exit code (see cli.py).  The default
 budgets and the normalization tags live here too, so that the CLI can
@@ -30,3 +30,14 @@ class VerificationError(RuntimeError):
     def __init__(self, message: str, payload=None):
         super().__init__(message)
         self.payload = payload
+
+
+def figure(log10_count: float, exact) -> str:
+    """A count from its log10 and exact(): exact below 30 digits, else to two figures."""
+    if log10_count < 30:
+        return "%d" % exact()
+    power = int(log10_count)
+    mantissa = round(10 ** (log10_count - power), 1)
+    if mantissa >= 10:
+        mantissa, power = 1.0, power + 1
+    return "about %.1fe%d" % (mantissa, power)

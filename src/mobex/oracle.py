@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, isfinite
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import (HALF_EDGE_BUDGET, ORACLE_DEGREE_BUDGET, BudgetError, UsageError,
@@ -276,6 +276,7 @@ def mc_estimate(beta: int, n: int, powers: Sequence[int], samples: int, seed: in
     sum lambda**j / d over the eigenvalues of X.  Samples are drawn in
     batches of max(1, 2**12 // (dn)**2) matrices, so memory does not grow
     with ``samples``; larger batches raise the peak RSS and gain little.
+    A scale 0 or infinite as a float, or a non-finite result, is refused.
     """
     import numpy as np
 
@@ -284,10 +285,13 @@ def mc_estimate(beta: int, n: int, powers: Sequence[int], samples: int, seed: in
         raise UsageError("need at least 2 samples for a standard error, got %d" % samples)
     if seed < 0:
         raise UsageError("seed must be >= 0, got %d" % seed)
+    try:
+        sd_diag, sd_off = (1.0 / (2 * float(scale))) ** 0.5, (1.0 / (4 * float(scale))) ** 0.5
+    except (OverflowError, ZeroDivisionError):  # the scale is infinite or 0 as a float
+        sd_diag = sd_off = 0.0
+    if not 0 < sd_diag < float("inf"):
+        raise UsageError("the Gaussian scale and its variances must be positive finite floats")
     rng = np.random.default_rng(seed)
-    c = float(scale)
-    sd_diag = (1.0 / (2 * c)) ** 0.5
-    sd_off = (1.0 / (4 * c)) ** 0.5
     units = np.array(_UNITS[beta])
     d = len(units[0])
     dn = d * n
@@ -298,15 +302,17 @@ def mc_estimate(beta: int, n: int, powers: Sequence[int], samples: int, seed: in
         return upper + sign * upper.swapaxes(1, 2)
 
     values = np.empty(samples)
-    for start in range(0, samples, batch):
-        m = min(batch, samples - start)
-        blocks = [part(m, 1)]
-        blocks[0][:, range(n), range(n)] = rng.normal(0.0, sd_diag, (m, n))
-        blocks += [part(m, -1) for _ in units[1:]]
-        x = sum(np.einsum("ij,mab->miajb", u, b) for u, b in zip(units, blocks))
-        eig = np.linalg.eigvalsh(x.reshape(m, dn, dn))
-        values[start:start + m] = np.prod([(eig ** j).sum(axis=1) / d for j in powers], axis=0)
-
-    mean = float(values.mean())
-    err = float(values.std(ddof=1) / samples ** 0.5)
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+        for start in range(0, samples, batch):
+            m = min(batch, samples - start)
+            blocks = [part(m, 1)]
+            blocks[0][:, range(n), range(n)] = rng.normal(0.0, sd_diag, (m, n))
+            blocks += [part(m, -1) for _ in units[1:]]
+            x = sum(np.einsum("ij,mab->miajb", u, b) for u, b in zip(units, blocks))
+            eig = np.linalg.eigvalsh(x.reshape(m, dn, dn))
+            values[start:start + m] = np.prod([(eig ** j).sum(axis=1) / d for j in powers], 0)
+        mean = float(values.mean())
+        err = float(values.std(ddof=1) / samples ** 0.5)
+    if not (isfinite(mean) and isfinite(err)):
+        raise UsageError("the sample mean %r or its standard error %r is not finite" % (mean, err))
     return mean, err

@@ -1,16 +1,15 @@
 """Penner-type closed forms and the substitution t_j -> -z**(j/2-1).
 
 K(z, N, a) is the asymptotic expansion of the Vandermonde**(2a) one-matrix
-integral with Penner couplings, valid for integer a >= 1; J(z, N, g) covers
+integral with Penner couplings, at every rational a > 0; J(z, N, g) covers
 the reciprocal powers 2/g and is the same Bernoulli four-sum at a = 1/g.
 Both are implemented from that one explicit four-sum; the graph sum plus
-the dualities serve as the oracle for them.  Constant (z-independent)
-terms are dropped throughout, and the closed forms contain no negative z
-powers.
+the dualities, and the loop equations at beta = 2a, serve as the oracle
+for them.  Constant (z-independent) terms are dropped throughout, and the
+closed forms contain no negative z powers.
 
-The generalized family I(z, N, r) = K(z/(rN), N, r) for integer r and
-J(z*g/N, N, g) for r = 1/g satisfies the extended duality
-I(z, N, r) = I(z, -rN, 1/r).
+The generalized family I(z, N, r) = K(z/(rN), N, r) = J(z/(rN), N, 1/r)
+satisfies the extended duality I(z, N, r) = I(z, -rN, 1/r).
 """
 
 from __future__ import annotations
@@ -111,11 +110,12 @@ class ZSeries:
 # -- closed forms ----------------------------------------------------------------
 
 def _four_sum(order: int, a: Fraction) -> ZSeries:
-    """Bernoulli four-sum for the Vandermonde power 2a, a an integer or an
-    integer's reciprocal: K(z, N, a) in the first case, J(z, N, 1/a) in
-    the second."""
+    """Bernoulli four-sum for the Vandermonde power 2a, a > 0 rational:
+    K(z, N, a), which is J(z, N, 1/a)."""
     if order < 1:
         raise UsageError("order must be >= 1")
+    if a <= 0:
+        raise UsageError("the Vandermonde power 2a needs a > 0")
     out = ZSeries(order)
     for m in range(1, order + 1):
         if m % 2:
@@ -135,18 +135,17 @@ def _four_sum(order: int, a: Fraction) -> ZSeries:
     return out
 
 
-def K_series(order: int, alpha: int) -> ZSeries:
+def K_series(order: int, alpha) -> ZSeries:
     """Four-sum Bernoulli form of the Vandermonde**(2*alpha) Penner expansion."""
-    if not isinstance(alpha, int) or alpha < 1:
-        raise UsageError("K series needs a positive integer alpha")
     return _four_sum(order, Fraction(alpha))
 
 
-def J_series(order: int, gamma: int) -> ZSeries:
-    """Closed form for Vandermonde power 2/gamma, positive integer gamma."""
-    if not isinstance(gamma, int) or gamma < 1:
-        raise UsageError("J series needs a positive integer gamma")
-    return _four_sum(order, Fraction(1, gamma))
+def J_series(order: int, gamma) -> ZSeries:
+    """Closed form for Vandermonde power 2/gamma, gamma > 0 rational."""
+    gamma = Fraction(gamma)
+    if gamma <= 0:  # 1/gamma would not exist at 0
+        raise UsageError("J series needs gamma > 0")
+    return _four_sum(order, 1 / gamma)
 
 
 def K1_series(order: int) -> ZSeries:
@@ -188,10 +187,8 @@ def K2_series(order: int) -> ZSeries:
 
 
 def I_series(order: int, r) -> ZSeries:
-    """K(z/(rN), N, r) for integer r; J(z*g/N, N, g) for r = 1/g."""
+    """K(z/(rN), N, r), r > 0 rational."""
     r = Fraction(r)
-    if r <= 0 or (r.numerator != 1 and r.denominator != 1):
-        raise UsageError("r must be a positive integer or its reciprocal")
     return _four_sum(order, r).shift_N_per_z(1 / r)
 
 

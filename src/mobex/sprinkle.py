@@ -24,9 +24,10 @@ with (2-b)^sigma read as 1 when b=2 and sigma=0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log10
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .errors import MU_ASSIGNMENT_BUDGET, BudgetError, StructuralError, UsageError
+from .errors import MU_ASSIGNMENT_BUDGET, BudgetError, StructuralError, UsageError, figure
 from .graphs import MoebiusGraph, TopologyProfile, topology
 from .catalog import canonical_code
 
@@ -129,8 +130,8 @@ def _unit_sweep(graph: MoebiusGraph, beta: int,
         raise StructuralError("mu is defined for connected graphs")
     e = graph.n_edges
     if beta ** e > assignment_budget:
-        raise BudgetError("beta^e = %d exceeds assignment budget %d"
-                          % (beta ** e, assignment_budget))
+        raise BudgetError("beta^e = %s exceeds assignment budget %d"
+                          % (figure(e * log10(beta), lambda: beta ** e), assignment_budget))
 
     bits, mask = _UNIT_BITS[beta], beta - 1
     incident = [[graph._edge_of[h] for h in rot] for rot in graph.rotations]

@@ -335,6 +335,26 @@ def test_env_budget_is_read_only_under_its_flag(monkeypatch, capsys):
     assert code == 0 and out and err == ""
 
 
+@pytest.mark.parametrize("name,line", [
+    ("MOBEX_HALF_EDGE_BUDGET", "oracle mc --beta 1 --n 2 --samples 10"),
+    ("MOBEX_ORACLE_BUDGET", "oracle mc --beta 1 --n 2 --samples 10"),
+    ("MOBEX_HALF_EDGE_BUDGET", "charpoly verify"),
+])
+def test_a_mode_reads_no_budget_variable(monkeypatch, capsys, name, line):
+    monkeypatch.setenv(name, "abc")
+    code, out, err = run_cli(capsys, *line.split())
+    assert code == 0 and out and err == ""
+
+
+def test_penner_at_a_rational_parameter(capsys):
+    from mobex.penner import J_series, K_series
+
+    code, out, _ = run_cli(capsys, "penner", "--alpha", "3/2", "--order", "3")
+    assert code == 0 and json.loads(out) == K_series(3, Fraction(3, 2)).to_json()
+    code, out, _ = run_cli(capsys, "penner", "--model", "J", "--gamma", "2/3", "--order", "3")
+    assert code == 0 and json.loads(out) == J_series(3, Fraction(2, 3)).to_json()
+
+
 @pytest.mark.parametrize("twists", ['["false"]', '[0]', '"x"'])
 def test_mu_rejects_non_boolean_twists(tmp_path, capsys, twists):
     path = tmp_path / "petal.json"
@@ -384,7 +404,8 @@ def test_missing_input_file_is_structural(tmp_path, capsys):
     assert json.loads(err)["code"] == cli.EXIT_STRUCTURAL
 
 
-# argv -> the documented exit code; "{tmp}" holds klein.json and garbled.json.
+# argv -> the documented exit code; "{tmp}" holds klein.json, garbled.json and,
+# where a line names it, cycle.json.
 # Failures that other tests here pin one by one are not repeated.
 FAILURE_CONTRACT = [
     ("graphs --profile 3:x", cli.EXIT_USAGE),
@@ -428,6 +449,48 @@ FAILURE_CONTRACT = [
     ("charpoly verify --format csv", cli.EXIT_USAGE),
     # the oracle's graph side honours the half-edge budget, as expand does
     ("oracle --beta 1 --n 2 --max-degree 6 --half-edge-budget 4", cli.EXIT_BUDGET),
+    # the mu budget names beta^e to two figures past 30 digits, at any size
+    ("mu --graph {tmp}/cycle.json --beta 4", cli.EXIT_BUDGET),
+    # the sampler refuses a scale or a mean that is not a finite float
+    ("oracle mc --beta 1 --n 2 --samples 10 --scale 1e-400", cli.EXIT_USAGE),
+    ("oracle mc --beta 1 --n 2 --samples 10 --scale 1e400", cli.EXIT_USAGE),
+    ("oracle mc --beta 1 --n 2 --samples 10 --powers 1000", cli.EXIT_USAGE),
+    ("oracle mc --beta 1 --n 2 --samples 10 --powers 200 --scale 1/1000", cli.EXIT_USAGE),
+    # each mode is a parser of its own: no option of another mode is accepted
+    ("oracle mc --beta 1 --n 2 --samples 10 --tag invariant", cli.EXIT_USAGE),
+    ("oracle mc --beta 1 --n 2 --samples 10 --max-degree 50", cli.EXIT_USAGE),
+    ("oracle mc --beta 1 --n 2 --samples 10 --half-edge-budget 4", cli.EXIT_USAGE),
+    ("oracle mc --beta 1 --n 2 --samples 10 --oracle-budget 4", cli.EXIT_USAGE),
+    ("oracle --beta 1 --n 2 --max-degree 2 --scale 1/4", cli.EXIT_USAGE),
+    ("oracle --beta 1 --n 2 --max-degree 2 --powers 2", cli.EXIT_USAGE),
+    ("oracle --beta 1 --n 2 --max-degree 2 --samples 10", cli.EXIT_USAGE),
+    ("oracle --beta 1 --n 2 --max-degree 2 --seed 7", cli.EXIT_USAGE),
+    ("penner euler --order 3", cli.EXIT_USAGE),
+    ("penner euler --model J", cli.EXIT_USAGE),
+    ("penner euler --alpha 2", cli.EXIT_USAGE),
+    ("penner euler --gamma 2", cli.EXIT_USAGE),
+    ("penner euler --r 2", cli.EXIT_USAGE),
+    ("penner --q 1", cli.EXIT_USAGE),
+    ("penner --n 1", cli.EXIT_USAGE),
+    ("charpoly verify --half-edge-budget 4", cli.EXIT_USAGE),
+    ("charpoly verify --ensemble gse", cli.EXIT_USAGE),
+    ("charpoly verify --side rhs", cli.EXIT_USAGE),
+    ("charpoly verify --max-degree 40", cli.EXIT_USAGE),
+    ("charpoly --which BHQ", cli.EXIT_USAGE),
+    ("charpoly --N 4", cli.EXIT_USAGE),
+    ("charpoly --k 2", cli.EXIT_USAGE),
+    # a Penner model reads only its own parameter; clt reads --max-degree only with --verify
+    ("penner --model K --gamma 2", cli.EXIT_USAGE),
+    ("penner --model K --r 2", cli.EXIT_USAGE),
+    ("penner --model J --alpha 2", cli.EXIT_USAGE),
+    ("penner --model J --r 2", cli.EXIT_USAGE),
+    ("penner --model I --alpha 2", cli.EXIT_USAGE),
+    ("penner --model I --gamma 2", cli.EXIT_USAGE),
+    ("clt --max-degree 6", cli.EXIT_USAGE),
+    # the four-sum holds at every rational parameter > 0, and only there
+    ("penner --model K --alpha 0", cli.EXIT_USAGE),
+    ("penner --model J --gamma 0", cli.EXIT_USAGE),
+    ("penner --model I --r=-1/2", cli.EXIT_USAGE),
 ]
 
 
@@ -436,6 +499,11 @@ def test_failure_contract(tmp_path, capsys, line, expected):
     (tmp_path / "klein.json").write_text(
         graph_to_json(MoebiusGraph([(0, 1, 2, 3)], [(0, 1), (2, 3)], [True, True])))
     (tmp_path / "garbled.json").write_text("not json")
+    if "cycle.json" in line:  # a connected cycle of 8,000 edges: 4^e has 4,817 digits
+        e = 8000
+        (tmp_path / "cycle.json").write_text(graph_to_json(MoebiusGraph(
+            [(2 * i, 2 * i + 1) for i in range(e)],
+            [(2 * i + 1, (2 * i + 2) % (2 * e)) for i in range(e)], [False] * e)))
     code, out, err = run_cli(capsys, *line.format(tmp=tmp_path).split())
     assert code == expected and out == ""
     assert "Traceback" not in err

@@ -5,12 +5,13 @@ import pytest
 
 from mobex.errors import StructuralError, UsageError
 from mobex.npoly import NPoly
+from mobex.oracle import _loop_moment
 from mobex.penner import (I_series, J_series, K1_series, K2_series, K_series,
                           ZSeries, bernoulli, extended_duality_gap, goe_penner_zseries,
                           gse_penner_zseries, nonorientable_remainder,
                           penner_substitute, real_moduli_euler,
                           real_moduli_graph_sum)
-from mobex.series import CouplingSeries
+from mobex.series import CouplingSeries, iter_monomials
 
 
 def test_bernoulli_values():
@@ -103,8 +104,27 @@ def test_extended_duality():
     for r in (1, 2, 3, 4):
         assert not extended_duality_gap(8, r).coeffs
         assert not extended_duality_gap(8, Fraction(1, r)).coeffs
-    with pytest.raises(UsageError):
-        I_series(4, Fraction(2, 3))
+    for r in (Fraction(3, 2), Fraction(2, 5), Fraction(7, 3), Fraction(2, 3)):
+        assert not extended_duality_gap(6, r).coeffs, r
+    for r in (0, -1):
+        with pytest.raises(UsageError):
+            I_series(4, r)
+
+
+@pytest.mark.parametrize("a", [Fraction(3, 2), Fraction(5, 7)])
+def test_four_sum_equals_the_loop_route_at_rational_a(a):
+    # log of the Vandermonde**(2a) Penner integral from the loop equations
+    # at beta = 2a, c = 1/2, vertex weights 1/j, then t_j -> -z**(j/2-1)
+    order = 3
+    z = CouplingSeries(6 * order, {(): NPoly.const(1)})
+    for monomial in iter_monomials(6 * order, allowed=lambda j: j >= 3):
+        weight = Fraction(1)
+        for j in set(monomial):
+            m = monomial.count(j)
+            weight *= Fraction(1, j) ** m / factorial(m)
+        z.terms[monomial] = _loop_moment(2 * a, Fraction(1, 2), tuple(sorted(monomial))) * weight
+    assert penner_substitute(z.log()) == K_series(order, a)
+    assert K_series(order, a) == J_series(order, 1 / a)
 
 
 def test_penner_substitution_bookkeeping():

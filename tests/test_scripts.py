@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from mobex.cli import build_parser
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
@@ -52,24 +54,31 @@ def test_census_exits_4_on_a_pairing_sum_mismatch(monkeypatch, capsys):
     assert "-> False" in capsys.readouterr().out
 
 
-# each subcommand's shared options: exactly those its runner reads
+# each parser's shared options: exactly those its runner reads
 SUBCOMMAND_OPTIONS = {
     "graphs": {"--format", "--half-edge-budget"},
     "expand": {"--format", "--half-edge-budget", "--threads"},
     "mu": {"--mu-budget"},
     "oracle": {"--format", "--half-edge-budget", "--oracle-budget"},
+    "oracle mc": set(),
     "penner": {"--format"},
+    "penner euler": set(),
     "charpoly": {"--format", "--half-edge-budget"},
+    "charpoly verify": set(),
     "clt": {"--format", "--half-edge-budget"},
     "duality": {"--half-edge-budget"},
 }
 SHARED_OPTIONS = set().union(*SUBCOMMAND_OPTIONS.values())
 
 
-@pytest.mark.parametrize("sub", sorted(SUBCOMMAND_OPTIONS))
+# every parser build_parser makes, so a new one cannot skip the check
+PARSERS = sorted(build_parser()._subparsers._group_actions[0].choices)
+
+
+@pytest.mark.parametrize("sub", PARSERS)
 def test_cli_subcommand_help(sub):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-m", "mobex", sub, "--help"], env=env,
+    proc = subprocess.run([sys.executable, "-m", "mobex", *sub.split(), "--help"], env=env,
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.startswith(b"usage: mobex " + sub.encode())
