@@ -4,7 +4,7 @@
 Prints, for each e, the number of isomorphism classes split by
 orientability and face count, plus the exact class-sum check
 sum N**f / |Aut| == labelled pairing sum on every profile with at most
-8 half-edges and at most --max-edges edges.  Prints the first profile
+10 half-edges and at most --max-edges edges.  Prints the first profile
 that fails and exits 4 (the CLI's verification-failure code).
 """
 
@@ -19,7 +19,7 @@ from mobex.cli import EXIT_VERIFY
 from mobex.npoly import NPoly
 from mobex.series import iter_monomials
 
-PAIRING_SUM_HALF_EDGES = 8  # at most 7!! * 2**4 = 1,680 labelled gluings a profile
+PAIRING_SUM_HALF_EDGES = 10  # at most 9!! * 2**5 = 30,240 labelled gluings a profile
 
 
 def main() -> int:

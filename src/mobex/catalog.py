@@ -26,12 +26,14 @@ that emitted it ties without a traversal, and every other flag stops at
 its first token that differs from the stream.  The Moebius catalog walks
 twisted streams under the full competition, the ribbon catalog untwisted
 streams under the positive-flag one.  The labelled pairing sum (both
-modes) visits every labelled gluing on one depth-first gluing tree, where
+modes) counts every labelled gluing on one depth-first gluing tree, where
 gluings that share a prefix share its work, and never canonicalizes; it
 counts faces by joining the face map's open paths edge by edge,
-independently of the graph module's face walk.  It and the tests' own
-matching sweeps are the independent routes the catalogs are checked
-against.
+independently of the graph module's face walk.  Its first edge is tried
+once per orbit of the layout symmetries that fix half-edge 0, the
+gluings below counting the orbit's size, since those symmetries keep
+face counts.  It and the tests' own matching sweeps are the independent
+routes the catalogs are checked against.
 """
 
 from __future__ import annotations
@@ -318,8 +320,10 @@ def _budgeted_key(profile, budget: int, twist_bits: Optional[Tuple[int, ...]] = 
 
     The refusal comes before any list or huge integer is built and names
     the predicted cost: (n-1)!! matchings, or with ``twist_bits`` the
-    labelled gluings a pairing sum would visit, those matchings times
-    len(twist_bits) ** (n/2) twist patterns.
+    labelled gluings a pairing sum counts, those matchings times
+    len(twist_bits) ** (n/2) twist patterns.  Its walk visits only the
+    gluings under one first edge per symmetry orbit, but the count named
+    is the whole sum's, an upper bound at every profile.
     """
     counts = profile_dict(profile)
     n = sum(j * count for j, count in counts.items())
@@ -539,6 +543,32 @@ def ribbon_classes(profile, half_edge_budget: int = HALF_EDGE_BUDGET):
 
 # -- labelled pairing sums ------------------------------------------------------
 
+def _first_edges(key: ProfileKey, twist_bits: Tuple[int, ...]
+                 ) -> List[Tuple[int, Tuple[int, ...], int]]:
+    """(b, twists, size): one first edge (0, b) at each of ``twists`` per orbit
+    of the layout symmetries that fix half-edge 0, with the orbit's size.
+
+    Those symmetries relabel, rotate and (with twists) flip the other
+    vertices, which carries an edge to a vertex of valence j onto every
+    half-edge of every other vertex of valence j, at each allowed twist.
+    With twists vertex 0 also reflects through half-edge 0 (a flip, then a
+    rotation), which sends the loop (0, k) to (0, j0 - k) and keeps its
+    twist, since a flip toggles a loop at both ends.
+    """
+    j0 = key[0]
+    if len(twist_bits) == 1:  # no flips: each loop (0, k) is an orbit of its own
+        firsts = [(k, twist_bits, 1) for k in range(1, j0)]
+    else:  # vertex 0's reflection pairs the loop (0, k) with (0, j0 - k)
+        firsts = [(k, twist_bits, 1 if 2 * k == j0 else 2) for k in range(1, j0 // 2 + 1)]
+    start = 0
+    for j, count in profile_dict(key).items():
+        others = count - (j == j0)
+        if others:
+            firsts.append((start + j0 * (j == j0), (0,), others * j * len(twist_bits)))
+        start += j * count
+    return firsts
+
+
 def labeled_pairing_sum(profile, mode: str = "moebius",
                         half_edge_budget: int = HALF_EDGE_BUDGET) -> NPoly:
     """Sum of N**f over all labelled gluings, divided by the layout symmetry order.
@@ -558,6 +588,15 @@ def labeled_pairing_sum(profile, mode: str = "moebius",
     backtrack, or closes a cycle.  The face map's orbits come in mirror
     pairs, so a leaf's cycle count is twice its face count.
 
+    The first level is folded: half-edge 0's partner and twist are tried
+    once per orbit of the layout symmetries that fix half-edge 0
+    (``_first_edges``), and each leaf below counts that orbit's size.
+    This is exact because such a symmetry maps the gluings whose first
+    edge is (0, b, t) one-to-one onto those whose first edge is its image,
+    and keeps each one's face count (relabelling, rotation and
+    ``flip_vertex`` all preserve faces).  Every level below the first
+    still visits each labelled gluing.
+
     A deliberate independent route: it never canonicalizes and counts
     faces without ``_face_walks``, so the pairing-sum and orbit-stabilizer
     tests can catch a class the catalog misses, an automorphism order it
@@ -576,16 +615,15 @@ def labeled_pairing_sum(profile, mode: str = "moebius",
     free = [True] * n
     tally = [0] * (n + 1)
 
-    def glue(a: int, left: int, cycles: int) -> None:
-        while not free[a]:
-            a += 1
+    def glue(a: int, left: int, cycles: int, choices) -> None:
+        """Pair a with each (b, twists, weight) of ``choices``, each leaf
+        below counting ``weight``, and recurse on the next free half-edge."""
         free[a] = False
-        for b in range(a + 1, n):
-            if not free[b]:
-                continue
+        sa, pa = to_succ[a], to_pred[a]
+        for b, bits, weight in choices:
             free[b] = False
-            sa, pa, sb, pb = to_succ[a], to_pred[a], to_succ[b], to_pred[b]
-            for t in twist_bits:
+            sb, pb = to_succ[b], to_pred[b]
+            for t in bits:
                 arrows = (((2 * a, pb), (2 * a + 1, sb), (2 * b, pa), (2 * b + 1, sa)) if t
                           else ((2 * a, sb), (2 * a + 1, pb), (2 * b, sa), (2 * b + 1, pa)))
                 closed = cycles
@@ -600,18 +638,22 @@ def labeled_pairing_sum(profile, mode: str = "moebius",
                         head[last] = first
                         joined.append((x, y))
                 if left > 2:
-                    glue(a + 1, left - 2, closed)
+                    c = a + 1
+                    while not free[c]:
+                        c += 1
+                    glue(c, left - 2, closed,
+                         [(d, twist_bits, weight) for d in range(c + 1, n) if free[d]])
                 elif closed & 1:
                     raise StructuralError("face walk is its own mirror; invalid twist data")
                 else:
-                    tally[closed >> 1] += 1
+                    tally[closed >> 1] += weight
                 for x, y in reversed(joined):
                     tail[head[x]] = x
                     head[tail[y]] = y
             free[b] = True
         free[a] = True
 
-    glue(0, n, 0)
+    glue(0, n, 0, _first_edges(key, twist_bits))
     denom = 1
     for j, count in profile_dict(key).items():
         denom *= factorial(count) * (2 * j if mode == "moebius" else j) ** count

@@ -18,10 +18,11 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import log10
 from typing import List, Optional
 
 from .errors import (HALF_EDGE_BUDGET, MU_ASSIGNMENT_BUDGET, ORACLE_DEGREE_BUDGET, TAGS,
-                     BudgetError, StructuralError, UsageError, VerificationError)
+                     BudgetError, StructuralError, UsageError, VerificationError, figure)
 
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
@@ -83,6 +84,21 @@ def _parse_powers(text: str) -> tuple:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError("powers must look like '1,3', got %r" % text) from exc
+
+
+def _refuse_unprintable(what: str, value: Fraction, power: int, allowance: float = 0) -> None:
+    """Refuse, before computing, output that Python could not print.
+
+    The largest integer printed is predicted as the larger of ``value``'s
+    numerator and denominator to ``power``, times what ``allowance``
+    digits hold.  Python refuses to print an integer of more digits than
+    sys.get_int_max_str_digits(), unless that is 0.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python < 3.10.7: none
+    digits = int(power * log10(max(abs(value.numerator), value.denominator)) + allowance) + 1
+    if limit and digits > limit:
+        raise BudgetError("%s would print integers of about %s digits, past Python's %d-digit"
+                          " limit" % (what, figure(log10(digits), lambda: digits), limit))
 
 
 def _jsonable(obj):
@@ -220,7 +236,16 @@ def _cmd_penner(args: argparse.Namespace) -> None:
         if name != own and getattr(args, name) is not None:
             raise UsageError("penner --model %s reads --%s, not --%s" % (args.model, own, name))
     value = getattr(args, own)
-    zs = closed_form(args.order, Fraction(1) if value is None else value)
+    if value is None:
+        value = Fraction(1)
+    if args.order >= 1:  # a smaller order is refused by the closed form
+        # the z^m coefficient holds a^0 .. a^(m+1), and model I divides it by a^m;
+        # the factorials and Bernoulli numbers add under power * log10(power) + 2
+        # digits (measured to order 60)
+        power = args.order + (1 if args.model != "I" else args.order % 2)
+        _refuse_unprintable("penner --model %s --order %d" % (args.model, args.order),
+                            value, power, power * log10(power) + 2)
+    zs = closed_form(args.order, value)
     _emit(zs.to_json(), args.format,
           (["z^m", "coefficient"],
            [["z^%d" % m, json.dumps(zs.coeffs[m].to_json(), sort_keys=True)]
@@ -278,6 +303,7 @@ def _cmd_clt(args: argparse.Namespace) -> None:
 
 
 def _cmd_duality(args: argparse.Namespace) -> None:
+    _refuse_unprintable("duality --alpha", args.alpha, 1)
     from . import series
 
     inv = series.expand_logZ("invariant", args.max_degree,

@@ -30,13 +30,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, isfinite
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import (HALF_EDGE_BUDGET, ORACLE_DEGREE_BUDGET, BudgetError, UsageError,
                      VerificationError)
 from .npoly import NPoly
-from .series import (CouplingSeries, _dropped_couplings, _validate_tag, expand_logZ,
-                     tag_monomials)
+from .series import (CouplingSeries, _dropped_couplings, _monomial_count, _validate_tag,
+                     expand_logZ, tag_monomials)
 
 
 @dataclass(frozen=True)
@@ -161,37 +161,6 @@ _TAG_DICTIONARY = {
     "gse-penner": lambda beta, n: (4, Fraction(1, 2), lambda j: Fraction(1, j)),
     "invariant": lambda beta, n: (beta, Fraction(n * beta, 4), lambda j: Fraction(n * beta, 2 * j)),
 }
-
-
-def _monomial_count(degree: int, dropped: Set[int]) -> Optional[int]:
-    """len(tag_monomials(...)) without listing them; None from 10**30 on.
-
-    The monomials are the partitions of the even weights 2..degree with no
-    part in ``dropped``.  Their generating function is prod over dropped j
-    of (1 - x**j) times that of all partitions, whose counts p(n) come from
-    Euler's pentagonal-number recurrence, so the count takes about
-    degree**1.5 additions and stops once it passes 10**30.
-    """
-    shifts = {0: 1}  # prod over dropped j of (1 - x**j)
-    for j in dropped:
-        for s, c in list(shifts.items()):
-            shifts[s + j] = shifts.get(s + j, 0) - c
-    p = [1]
-    total = 0
-    for n in range(1, degree + 1):
-        value, k = 0, 1
-        while k * (3 * k - 1) // 2 <= n:
-            sign = 1 if k % 2 else -1
-            for pentagonal in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-                if pentagonal <= n:
-                    value += sign * p[n - pentagonal]
-            k += 1
-        p.append(value)
-        if n % 2 == 0:
-            total += sum(c * p[n - s] for s, c in shifts.items() if s <= n)
-            if total >= 10 ** 30:
-                return None
-    return total
 
 
 def oracle_logZ(beta: int, tag: str, degree: int, n: int,

@@ -246,6 +246,37 @@ def _dropped_couplings(tag: str, include_t1: bool, include_t2: bool) -> Set[int]
     return {j for j, keep in ((1, include_t1), (2, include_t2)) if not keep}
 
 
+def _monomial_count(degree: int, dropped: Set[int]) -> Optional[int]:
+    """len(tag_monomials(...)) without listing them; None from 10**30 on.
+
+    The monomials are the partitions of the even weights 2..degree with no
+    part in ``dropped``.  Their generating function is prod over dropped j
+    of (1 - x**j) times that of all partitions, whose counts p(n) come from
+    Euler's pentagonal-number recurrence, so the count takes about
+    degree**1.5 additions and stops once it passes 10**30.
+    """
+    shifts = {0: 1}  # prod over dropped j of (1 - x**j)
+    for j in dropped:
+        for s, c in list(shifts.items()):
+            shifts[s + j] = shifts.get(s + j, 0) - c
+    p = [1]
+    total = 0
+    for n in range(1, degree + 1):
+        value, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for pentagonal in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if pentagonal <= n:
+                    value += sign * p[n - pentagonal]
+            k += 1
+        p.append(value)
+        if n % 2 == 0:
+            total += sum(c * p[n - s] for s, c in shifts.items() if s <= n)
+            if total >= 10 ** 30:
+                return None
+    return total
+
+
 def tag_monomials(tag: str, degree: int, include_t1: bool = True,
                   include_t2: bool = True) -> List[Monomial]:
     """The coupling monomials a tag expands to the truncation degree."""
@@ -282,8 +313,11 @@ def expand_logZ(tag: str, degree: int, beta: Optional[int] = None,
     beta = _validate_tag(tag, beta)
     needed = degree - degree % 2
     if needed > half_edge_budget:
-        raise BudgetError("truncation degree %d needs %d half-edges, budget is %d"
-                          % (degree, needed, half_edge_budget))
+        count = _monomial_count(degree, _dropped_couplings(tag, include_t1, include_t2))
+        raise BudgetError("truncation degree %d needs %d half-edges, budget is %d: it would sum"
+                          " %s coupling monomials of tag %r"
+                          % (degree, needed, half_edge_budget,
+                             "over 10^30" if count is None else count, tag))
     monomials = tag_monomials(tag, degree, include_t1, include_t2)
     totals = pmap(_connected_sum,
                   [(m, tag, beta, half_edge_budget) for m in monomials], threads)

@@ -182,17 +182,69 @@ def test_pairing_sum_matches_per_gluing_face_walks():
     # labelled gluing, exactly, in both modes
     cases = [(p, mode) for p in all_profiles(4) for mode in ("moebius", "ribbon")]
     cases += [((10,), "moebius"), ((4, 3, 3), "moebius"), ((5, 3, 1, 1), "moebius"),
-              ((5, 5), "ribbon")]
+              ((5, 5), "ribbon"), ((4, 4, 2), "moebius"), ((4, 4, 4), "ribbon")]
     for profile, mode in cases:
         expected = pairing_sweep(profile, faces_weight, mode)
         assert labeled_pairing_sum(list(profile), mode=mode) == expected, (profile, mode)
+
+
+def first_choice_orbits(key, twist_bits):
+    """Orbits of half-edge 0's first choices (b, t) under the layout
+    symmetries that fix half-edge 0, closed from their generators: a
+    rotation, a flip (with twists) and a swap of equal-valence neighbours
+    among the other vertices, and with twists vertex 0's reflection
+    through half-edge 0."""
+    from mobex.catalog import _blocks
+
+    rotations = _blocks(key)
+    where = {h: (v, i) for v, rot in enumerate(rotations) for i, h in enumerate(rot)}
+    moebius = len(twist_bits) == 2
+
+    def images(b, t):
+        v, i = where[b]
+        rot = rotations[v]
+        if v == 0:  # a loop: the reflection toggles its twist twice
+            return [(rot[-i % len(rot)], t)] if moebius else []
+        out = [(rot[(i + 1) % len(rot)], t)]
+        if moebius:  # flip v; reflect vertex 0, which toggles the edge once
+            out += [(rot[-i % len(rot)], t ^ 1), (b, t ^ 1)]
+        for w in (v - 1, v + 1):
+            if 0 < w < len(rotations) and len(rotations[w]) == len(rot):
+                out.append((rotations[w][i], t))
+        return out
+
+    orbits = set()
+    for start in product(range(1, sum(key)), twist_bits):
+        orbit, todo = {start}, [start]
+        while todo:
+            for image in images(*todo.pop()):
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+def test_first_edge_orbits_partition_the_first_choices():
+    # the folded first level tries one (b, t) per orbit and counts its size
+    from mobex.catalog import _first_edges
+
+    for profile in all_profiles(8):
+        for twist_bits in ((0, 1), (0,)):
+            orbits = first_choice_orbits(profile, twist_bits)
+            chosen = [(b, t, size) for b, twists, size in _first_edges(profile, twist_bits)
+                      for t in twists]
+            hit = [next(o for o in orbits if (b, t) in o) for b, t, _ in chosen]
+            assert set(hit) == orbits and len(hit) == len(orbits), (profile, twist_bits)
+            assert [len(o) for o in hit] == [size for _, _, size in chosen], (profile, twist_bits)
+            assert sum(size for *_, size in chosen) == (sum(profile) - 1) * len(twist_bits)
 
 
 def test_pairing_sum_matches_catalog():
     # exact per-profile certificate: a class missing from the catalog would
     # leave a strictly positive gap (all weights are positive)
     profiles = list(all_profiles(4)) + [(10,), (4, 3, 3), (2, 2, 3, 3), (5, 3, 1, 1),
-                                        (4, 4, 4)]
+                                        (4, 4, 4), (3, 3, 3, 3)]
     for profile in profiles:
         lhs = labeled_pairing_sum(list(profile))
         rhs = NPoly.zero()

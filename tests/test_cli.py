@@ -491,7 +491,32 @@ FAILURE_CONTRACT = [
     ("penner --model K --alpha 0", cli.EXIT_USAGE),
     ("penner --model J --gamma 0", cli.EXIT_USAGE),
     ("penner --model I --r=-1/2", cli.EXIT_USAGE),
+    # output past Python's 4,300-digit int-to-string limit is refused before it is computed
+    ("penner --alpha 1e5000 --order 1", cli.EXIT_BUDGET),
+    ("penner --alpha 1e600 --order 8", cli.EXIT_BUDGET),
+    ("penner --model I --r 1e5000 --order 1", cli.EXIT_BUDGET),
+    ("penner --alpha 1e5000 --order 30", cli.EXIT_BUDGET),
+    ("duality --alpha 1e5000 --max-degree 2", cli.EXIT_BUDGET),
 ]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-string limit")
+def test_unprintable_output_refusal_follows_the_interpreter_limit(capsys):
+    code, _, err = run_cli(capsys, "duality", "--alpha", "1e5000", "--max-degree", "2")
+    assert code == cli.EXIT_BUDGET
+    limit = sys.get_int_max_str_digits()
+    assert json.loads(err)["error"] == ("duality --alpha would print integers of about 5001"
+                                        " digits, past Python's %d-digit limit" % limit)
+    sys.set_int_max_str_digits(0)  # no limit: nothing is refused
+    try:
+        code, out, _ = run_cli(capsys, "penner", "--alpha", "1e5000", "--order", "1")
+        assert code == 0
+        assert max(len(c) for c in json.loads(out)["1"].values()) > 10000
+        code, out, _ = run_cli(capsys, "duality", "--alpha", "1e5000", "--max-degree", "2")
+        assert code == 0 and json.loads(out)["alpha"] == "%d" % 10 ** 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("line,expected", FAILURE_CONTRACT)

@@ -215,6 +215,20 @@ def test_expansion_bounds():
     assert expand_logZ("master", 0, beta=1).terms == {}
 
 
+def test_degree_refusal_counts_the_monomials_it_would_sum():
+    for tag, beta in (("master", 1), ("invariant", None), ("gse-penner", None)):
+        for t1, t2 in ((True, True), (False, True), (True, False), (False, False)):
+            for degree in range(2, 15):
+                with pytest.raises(BudgetError) as info:
+                    expand_logZ(tag, degree, beta, t1, t2, half_edge_budget=1)
+                assert str(info.value) == (
+                    "truncation degree %d needs %d half-edges, budget is 1: it would sum %d"
+                    " coupling monomials of tag %r" % (degree, degree - degree % 2,
+                                                      len(tag_monomials(tag, degree, t1, t2)), tag))
+    with pytest.raises(BudgetError, match=r"sum over 10\^30 coupling monomials"):
+        expand_logZ("master", 10 ** 9, beta=1)
+
+
 def test_tag_monomials_coupling_filter():
     from mobex.oracle import oracle_logZ
 
