@@ -102,10 +102,6 @@ class MoebiusGraph:
             prof[len(r)] = prof.get(len(r), 0) + 1
         return prof
 
-    def is_loop(self, edge_index: int) -> bool:
-        a, b = self.edges[edge_index]
-        return self._vertex_of[a] == self._vertex_of[b]
-
     def is_connected(self) -> bool:
         return self.n_vertices <= 1 or max(self._forest()[0]) == 0
 

@@ -221,17 +221,6 @@ class NPoly:
             out[key] = str(self.terms[(n, r)])
         return out
 
-    @staticmethod
-    def from_json(data: Dict[str, str]) -> "NPoly":
-        terms = {}
-        for key, value in data.items():
-            if ";" in key:
-                n_str, r_str = key.split(";")
-                terms[(int(n_str), int(r_str))] = Fraction(value)
-            else:
-                terms[(int(key), 0)] = Fraction(value)
-        return NPoly(terms)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"

@@ -15,6 +15,13 @@ moment exactly, as a polynomial in N, for beta = 1, 2 and 4 alike; it
 never touches a graph.  The entry-level Wick-pairing route
 (isserlis_trace_moment) is kept beside it for beta = 1.
 
+oracle_logZ builds log Z from these moments as a series over Q[N] for
+every tag, and oracle_compare compares it with the graph sum once,
+coefficient polynomial by coefficient polynomial.  invariant's scale
+N beta/4 and vertex factors N beta/(2j) carry N: its t-monomial with v
+vertices and e edges is rescaled's (scale beta/4, factors beta/(2j)) times
+N**(v-e).
+
 Monte Carlo estimation is a sanity layer only; acceptance never depends
 on it.  It follows the paper's one construction for the three ensembles: a
 self-adjoint matrix over the units {1}, {1, i} or {1, i, j, k} is
@@ -30,13 +37,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, isfinite
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import (HALF_EDGE_BUDGET, ORACLE_DEGREE_BUDGET, BudgetError, UsageError,
                      VerificationError)
 from .npoly import NPoly
 from .series import (CouplingSeries, _dropped_couplings, _monomial_count, _validate_tag,
-                     expand_logZ, tag_monomials)
+                     expand_logZ, series_one, tag_monomials)
 
 
 @dataclass(frozen=True)
@@ -154,75 +161,77 @@ def isserlis_trace_moment(n: int, powers: Sequence[int], c: Fraction) -> Fractio
 # -- graph sum vs oracle --------------------------------------------------------------
 
 _TAG_DICTIONARY = {
-    # tag -> (measure beta from ensemble beta, scale(n), vertex factor g_j)
-    "master": lambda beta, n: (beta, Fraction(1, 4), lambda j: Fraction(1, 2 * j)),
-    "rescaled": lambda beta, n: (beta, Fraction(beta, 4), lambda j: Fraction(beta, 2 * j)),
-    "hermitian": lambda beta, n: (2, Fraction(1, 2), lambda j: Fraction(1, j)),
-    "gse-penner": lambda beta, n: (4, Fraction(1, 2), lambda j: Fraction(1, j)),
-    "invariant": lambda beta, n: (beta, Fraction(n * beta, 4), lambda j: Fraction(n * beta, 2 * j)),
+    # tag -> (measure beta, scale, vertex factor g_j) from the ensemble beta; invariant's
+    # N-dependence is the N**(v-e) in oracle_logZ
+    "master": lambda beta: (beta, Fraction(1, 4), lambda j: Fraction(1, 2 * j)),
+    "rescaled": lambda beta: (beta, Fraction(beta, 4), lambda j: Fraction(beta, 2 * j)),
+    "hermitian": lambda beta: (2, Fraction(1, 2), lambda j: Fraction(1, j)),
+    "gse-penner": lambda beta: (4, Fraction(1, 2), lambda j: Fraction(1, j)),
+    "invariant": lambda beta: (beta, Fraction(beta, 4), lambda j: Fraction(beta, 2 * j)),
 }
 
 
-def oracle_logZ(beta: int, tag: str, degree: int, n: int,
-                include_t1: bool = True, include_t2: bool = True,
+def oracle_logZ(beta: int, tag: str, degree: int,
                 budget: int = ORACLE_DEGREE_BUDGET) -> CouplingSeries:
-    """log Z as a t-series with rational coefficients, from eigenvalue moments."""
+    """log Z as a t-series over Q[N], from the loop-equation moments."""
     _validate_tag(tag, beta)
     if degree > budget:
-        count = _monomial_count(degree, _dropped_couplings(tag, include_t1, include_t2))
+        count = _monomial_count(degree, _dropped_couplings(tag, True, True))
         raise BudgetError(
             "degree %d exceeds oracle budget %d: it would compute %s eigenvalue moments,"
             " one per coupling monomial of tag %r"
             % (degree, budget, "over 10^30" if count is None else count, tag))
-    measure_beta, scale, gfun = _TAG_DICTIONARY[tag](beta, n)
+    if beta not in (1, 2, 4):
+        raise UsageError("beta must be 1, 2 or 4")
+    measure_beta, scale, gfun = _TAG_DICTIONARY[tag](beta)
 
-    z = CouplingSeries(degree, {(): NPoly.const(1)})
-    for monomial in tag_monomials(tag, degree, include_t1, include_t2):
-        counts: Dict[int, int] = {}
-        for j in monomial:
-            counts[j] = counts.get(j, 0) + 1
+    z = series_one(degree)
+    for monomial in tag_monomials(tag, degree):
         coeff = Fraction(1)
-        for j, m in counts.items():
+        for j in set(monomial):
+            m = monomial.count(j)
             coeff *= gfun(j) ** m / factorial(m)
-        moment = eigenvalue_moment(MomentQuery(measure_beta, n, monomial, scale))
-        value = coeff * moment
-        if value:
-            z.terms[monomial] = NPoly.const(value)
+        n_power = len(monomial) - sum(monomial) // 2 if tag == "invariant" else 0
+        z.set_coefficient(monomial, _loop_moment(measure_beta, scale, monomial)
+                          * NPoly.N(n_power, coeff))
     return z.log()
 
 
 def oracle_compare(beta: int, tag: str, degree: int, sizes: Sequence[int],
-                   include_t1: bool = True, include_t2: bool = True,
                    budget: int = ORACLE_DEGREE_BUDGET,
                    half_edge_budget: int = HALF_EDGE_BUDGET) -> List[OracleReport]:
     """Exact comparison of the Moebius-graph sum against eigenvalue moments.
 
-    The oracle sides come first: they check the degree budget, which must
-    fail before the graph side pays for its catalog.
+    Both sides are log Z as a series over Q[N], for every tag, and their
+    coefficient polynomials are compared once; each size only evaluates
+    them into its reports.  invariant's scale N beta/4 is rescaled's beta/4
+    with the eigenvalues divided by sqrt(N), which multiplies a moment of
+    e = sum/2 edges by N**-e, and its v vertex factors N beta/(2j) add N**v;
+    its graph side is compared at r**2 = beta/2.  The oracle side comes
+    first: it checks the degree budget, which must fail before the graph
+    side pays for its catalog.
     """
-    oracle_sides = [(n, oracle_logZ(beta, tag, degree, n, include_t1, include_t2, budget))
-                    for n in sizes]
+    oracle_side = oracle_logZ(beta, tag, degree, budget)
+    if not sizes or min(sizes) < 1:
+        raise UsageError("matrix sizes must be >= 1, got %s" % list(sizes))
     graph_side = expand_logZ(tag, degree, beta=None if tag == "invariant" else beta,
-                             include_t1=include_t1, include_t2=include_t2,
                              half_edge_budget=half_edge_budget)
     if tag == "invariant":
         graph_side = graph_side.reduce_root(Fraction(beta, 2))
 
-    reports: List[OracleReport] = []
-    for n, oracle_side in oracle_sides:
-        keys = set(graph_side.terms) | set(oracle_side.terms)
-        for key in sorted(keys):
-            predicted = graph_side.coefficient(key).eval_N(n)
-            exact = oracle_side.coefficient(key).as_fraction()
-            equal = predicted == exact
-            reports.append(OracleReport(beta=beta, n=n, tag=tag, monomial=key,
-                                        exact=exact, predicted=predicted, equal=equal))
-            if not equal:
-                raise VerificationError(
-                    "oracle mismatch at beta=%d n=%d monomial=%r: graph %s vs oracle %s"
-                    % (beta, n, key, predicted, exact),
-                    payload=reports[-1])
-    return reports
+    def report(n: int, key: Tuple[int, ...], equal: bool) -> OracleReport:
+        return OracleReport(beta=beta, n=n, tag=tag, monomial=key,
+                            exact=oracle_side.coefficient(key).eval_N(n),
+                            predicted=graph_side.coefficient(key).eval_N(n), equal=equal)
+
+    keys = sorted(set(graph_side.terms) | set(oracle_side.terms))
+    for key in keys:
+        graph, exact = graph_side.coefficient(key), oracle_side.coefficient(key)
+        if graph != exact:
+            raise VerificationError(
+                "oracle mismatch at beta=%d monomial=%r: graph %s vs oracle %s"
+                % (beta, key, graph, exact), payload=report(sizes[0], key, False))
+    return [report(n, key, True) for n in sizes for key in keys]
 
 
 # -- Monte Carlo sanity layer ----------------------------------------------------------

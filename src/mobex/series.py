@@ -113,7 +113,7 @@ class CouplingSeries:
         """exp of a series with zero constant term."""
         if self.constant_term():
             raise UsageError("exp needs a zero constant term")
-        one = CouplingSeries(self.degree, {(): NPoly.const(1)})
+        one = series_one(self.degree)
         result = one.copy()
         # Horner: 1 + x(1 + x/2 (1 + x/3 (...)))
         for k in range(self.degree, 0, -1):
@@ -126,7 +126,7 @@ class CouplingSeries:
             raise UsageError("log needs constant term 1")
         x = self.without_constant()
         result = CouplingSeries(self.degree, {})
-        power = CouplingSeries(self.degree, {(): NPoly.const(1)})
+        power = series_one(self.degree)
         for k in range(1, self.degree + 1):
             power = power * x
             if not power.terms:

@@ -196,10 +196,13 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
 
 
 def test_oracle_mismatch_prints_its_report(monkeypatch, capsys):
-    real = oracle.eigenvalue_moment
-    monkeypatch.setattr(oracle, "eigenvalue_moment", lambda q: real(q) + 1)
-    code, out, err = run_cli(capsys, "oracle", "--beta", "1", "--n", "2",
-                             "--max-degree", "2")
+    real = oracle._loop_moment
+    monkeypatch.setattr(oracle, "_loop_moment", lambda *args: real(*args) + 1)
+    try:
+        code, out, err = run_cli(capsys, "oracle", "--beta", "1", "--n", "2",
+                                 "--max-degree", "2")
+    finally:
+        real.cache_clear()  # its recursion went through the +1, so it cached wrong moments
     assert code == cli.EXIT_VERIFY and out == ""
     lines = err.splitlines()
     assert len(lines) == 1
@@ -413,6 +416,9 @@ FAILURE_CONTRACT = [
     ("expand --beta 1 --max-degree 4 --threads 0", cli.EXIT_USAGE),
     ("expand --beta 1 --max-degree 4 --threads -3", cli.EXIT_USAGE),
     ("oracle --beta 3 --n 2", cli.EXIT_USAGE),
+    ("oracle --beta 1 --n 0 --max-degree 1", cli.EXIT_USAGE),
+    ("oracle --beta 1 --n -3 --max-degree 0", cli.EXIT_USAGE),
+    ("oracle --beta 3 --n 2 --tag invariant --max-degree 1", cli.EXIT_USAGE),
     ("oracle mc --beta 1 --n 2 --powers x", cli.EXIT_USAGE),
     ("oracle mc --beta 1 --n 2 --powers 2,", cli.EXIT_USAGE),
     ("oracle mc --beta 1 --n 2 --seed -1", cli.EXIT_USAGE),

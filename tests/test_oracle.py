@@ -1,6 +1,5 @@
 import json
 from fractions import Fraction
-from math import factorial
 from pathlib import Path
 
 import pytest
@@ -8,9 +7,9 @@ import pytest
 from mobex import oracle
 from mobex.errors import BudgetError, UsageError
 from mobex.npoly import NPoly
-from mobex.oracle import (MomentQuery, _loop_moment, eigenvalue_moment, isserlis_trace_moment,
-                          mc_estimate, oracle_compare, oracle_logZ)
-from mobex.series import CouplingSeries, expand_logZ, tag_monomials
+from mobex.oracle import (MomentQuery, eigenvalue_moment, isserlis_trace_moment, mc_estimate,
+                          oracle_compare, oracle_logZ)
+from mobex.series import expand_logZ, tag_monomials
 
 GOLDEN_MOMENTS = Path(__file__).with_name("golden_eigenvalue_moments.json")
 
@@ -52,18 +51,20 @@ def test_eigenvalue_moment_matches_golden_table():
         assert eigenvalue_moment(query) == Fraction(e["moment"]), e
 
 
-@pytest.mark.parametrize("beta", [1, 2, 4])
-def test_loop_equation_logZ_is_the_graph_sum_in_N(beta):
-    # log Z of the master normalization (g_j = 1/(2j), c = 1/4), symbolic in N
-    degree = 8
-    z = CouplingSeries(degree, {(): NPoly.const(1)})
-    for monomial in tag_monomials("master", degree):
-        coeff = Fraction(1)
-        for j in set(monomial):
-            m = monomial.count(j)
-            coeff *= Fraction(1, 2 * j) ** m / factorial(m)
-        z.set_coefficient(monomial, _loop_moment(beta, Fraction(1, 4), monomial) * coeff)
-    assert z.log() == expand_logZ("master", degree, beta=beta)
+# every (tag, beta) pair a tag takes; ids name the tag unless it is the default, master
+_TAG_BETAS = [pytest.param("master", beta, id=str(beta)) for beta in (1, 2, 4)] + [
+    pytest.param(tag, beta, id="%s-%d" % (tag, beta))
+    for tag, beta in [("rescaled", 1), ("rescaled", 2), ("rescaled", 4), ("invariant", 1),
+                      ("invariant", 2), ("invariant", 4), ("hermitian", 2), ("gse-penner", 4)]]
+
+
+@pytest.mark.parametrize("tag, beta", _TAG_BETAS)
+def test_loop_equation_logZ_is_the_graph_sum_in_N(tag, beta):
+    # log Z symbolic in N; invariant's graph side at r**2 = beta/2
+    graph_side = expand_logZ(tag, 8, beta=None if tag == "invariant" else beta)
+    if tag == "invariant":
+        graph_side = graph_side.reduce_root(Fraction(beta, 2))
+    assert oracle_logZ(beta, tag, 8) == graph_side
 
 
 def test_two_independent_goe_oracles_agree():
@@ -109,9 +110,22 @@ def test_oracle_compare_other_tags():
     assert all(r.equal for r in oracle_compare(4, "invariant", 4, [2]))
 
 
+def test_oracle_compare_refuses_sizes_below_one(monkeypatch):
+    def no_graph_side(*args, **kwargs):
+        raise AssertionError("the graph side was built before the size check")
+
+    # at every degree (no degree-1 monomial reaches a moment); the degree budget comes first
+    monkeypatch.setattr(oracle, "expand_logZ", no_graph_side)
+    for sizes in ([], [0], [2, -1]):
+        with pytest.raises(UsageError, match="matrix sizes must be >= 1"):
+            oracle_compare(1, "master", 1, sizes)
+    with pytest.raises(BudgetError):
+        oracle_compare(1, "master", 10, [0])
+
+
 def test_oracle_logZ_matches_direct_moment():
-    z = oracle_logZ(1, "master", 2, 2)
-    assert z.coefficient((2,)).as_fraction() == Fraction(6, 4)  # E[p2]/4 at n=2
+    z = oracle_logZ(1, "master", 2)
+    assert z.coefficient((2,)) == (NPoly.N(2) + NPoly.N(1)) * Fraction(1, 4)  # E[p2]/4
 
 
 def test_budget_guard(monkeypatch):
@@ -130,12 +144,11 @@ def test_graph_side_honours_the_half_edge_budget():
 
 
 @pytest.mark.parametrize("tag, beta", [("master", 1), ("hermitian", 2), ("gse-penner", 4)])
-@pytest.mark.parametrize("t1, t2", [(True, True), (False, True), (True, False), (False, False)])
-def test_budget_error_counts_the_monomials_it_would_compute(tag, beta, t1, t2):
+def test_budget_error_counts_the_monomials_it_would_compute(tag, beta):
     for degree in range(1, 15):
-        expected = len(tag_monomials(tag, degree, t1, t2))
+        expected = len(tag_monomials(tag, degree))
         with pytest.raises(BudgetError) as info:
-            oracle_logZ(beta, tag, degree, 2, t1, t2, budget=0)
+            oracle_logZ(beta, tag, degree, budget=0)
         assert str(info.value) == (
             "degree %d exceeds oracle budget 0: it would compute %d eigenvalue moments,"
             " one per coupling monomial of tag %r" % (degree, expected, tag))
@@ -145,9 +158,9 @@ def test_budget_error_counts_without_listing_at_any_degree():
     # sum of p(n) over even n <= 500, from the pentagonal recurrence
     with pytest.raises(BudgetError, match=r"^degree 500 exceeds oracle budget 8: it would"
                                           r" compute 21577430523547596097978 eigenvalue"):
-        oracle_logZ(1, "master", 500, 2)
+        oracle_logZ(1, "master", 500)
     with pytest.raises(BudgetError, match=r"compute over 10\^30 eigenvalue moments"):
-        oracle_logZ(1, "master", 10 ** 9, 2)
+        oracle_logZ(1, "master", 10 ** 9)
 
 
 def test_mc_three_listed_cases():

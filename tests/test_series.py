@@ -16,7 +16,7 @@ def test_npoly_basics():
     assert p.eval_N(2) == 5
     assert (p * p).eval_N(2) == 25
     assert p - p == NPoly.zero()
-    assert NPoly.from_json(p.to_json()) == p
+    assert p.to_json() == {"1": "1/2", "2": "1"}
     assert NPoly.N(-2).eval_N(2) == Fraction(1, 4)
 
 
@@ -241,4 +241,4 @@ def test_tag_monomials_coupling_filter():
     assert gse == [m for m in full if min(m) >= 3]
     # both routes expand the same monomials
     assert set(expand_logZ("gse-penner", 8).terms) <= set(gse)
-    assert set(oracle_logZ(4, "gse-penner", 8, 2).terms) <= set(gse)
+    assert set(oracle_logZ(4, "gse-penner", 8).terms) <= set(gse)
