@@ -203,16 +203,6 @@ class NPoly:
 
     # -- inspection ----------------------------------------------------------
 
-    def is_rational(self) -> bool:
-        return all(key == (0, 0) for key in self.terms)
-
-    def as_fraction(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_rational():
-            raise ValueError("not a constant")
-        return self.terms[(0, 0)]
-
     def to_json(self) -> Dict[str, str]:
         """Keys are "n" for pure N-terms and "n;r" when a root power remains."""
         out = {}

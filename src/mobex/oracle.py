@@ -16,11 +16,11 @@ never touches a graph.  The entry-level Wick-pairing route
 (isserlis_trace_moment) is kept beside it for beta = 1.
 
 oracle_logZ builds log Z from these moments as a series over Q[N] for
-every tag, and oracle_compare compares it with the graph sum once,
-coefficient polynomial by coefficient polynomial.  invariant's scale
-N beta/4 and vertex factors N beta/(2j) carry N: its t-monomial with v
-vertices and e edges is rescaled's (scale beta/4, factors beta/(2j)) times
-N**(v-e).
+every tag, with the scale s/4 and vertex factors s/(2j) of its strength s
+(series._TAGS), and oracle_compare compares it with the graph sum once,
+coefficient polynomial by coefficient polynomial.  invariant's s = N beta
+carries N: its t-monomial with v vertices and e edges is the one at
+s = beta times N**(v-e).
 
 Monte Carlo estimation is a sanity layer only; acceptance never depends
 on it.  It follows the paper's one construction for the three ensembles: a
@@ -42,8 +42,8 @@ from typing import List, Sequence, Tuple
 from .errors import (HALF_EDGE_BUDGET, ORACLE_DEGREE_BUDGET, BudgetError, UsageError,
                      VerificationError)
 from .npoly import NPoly
-from .series import (CouplingSeries, _dropped_couplings, _monomial_count, _validate_tag,
-                     expand_logZ, series_one, tag_monomials)
+from .series import (_TAGS, CouplingSeries, _ensemble_beta, _monomial_count, expand_logZ,
+                     series_one, tag_monomials)
 
 
 @dataclass(frozen=True)
@@ -160,39 +160,26 @@ def isserlis_trace_moment(n: int, powers: Sequence[int], c: Fraction) -> Fractio
 
 # -- graph sum vs oracle --------------------------------------------------------------
 
-_TAG_DICTIONARY = {
-    # tag -> (measure beta, scale, vertex factor g_j) from the ensemble beta; invariant's
-    # N-dependence is the N**(v-e) in oracle_logZ
-    "master": lambda beta: (beta, Fraction(1, 4), lambda j: Fraction(1, 2 * j)),
-    "rescaled": lambda beta: (beta, Fraction(beta, 4), lambda j: Fraction(beta, 2 * j)),
-    "hermitian": lambda beta: (2, Fraction(1, 2), lambda j: Fraction(1, j)),
-    "gse-penner": lambda beta: (4, Fraction(1, 2), lambda j: Fraction(1, j)),
-    "invariant": lambda beta: (beta, Fraction(beta, 4), lambda j: Fraction(beta, 2 * j)),
-}
-
-
 def oracle_logZ(beta: int, tag: str, degree: int,
                 budget: int = ORACLE_DEGREE_BUDGET) -> CouplingSeries:
     """log Z as a t-series over Q[N], from the loop-equation moments."""
-    _validate_tag(tag, beta)
+    measure_beta, row = _ensemble_beta(tag, beta), _TAGS[tag]
     if degree > budget:
-        count = _monomial_count(degree, _dropped_couplings(tag, True, True))
+        count = _monomial_count(degree, row.dropped)
         raise BudgetError(
             "degree %d exceeds oracle budget %d: it would compute %s eigenvalue moments,"
             " one per coupling monomial of tag %r"
             % (degree, budget, "over 10^30" if count is None else count, tag))
-    if beta not in (1, 2, 4):
-        raise UsageError("beta must be 1, 2 or 4")
-    measure_beta, scale, gfun = _TAG_DICTIONARY[tag](beta)
+    strength = measure_beta if row.strength is None else row.strength
 
     z = series_one(degree)
     for monomial in tag_monomials(tag, degree):
         coeff = Fraction(1)
         for j in set(monomial):
             m = monomial.count(j)
-            coeff *= gfun(j) ** m / factorial(m)
-        n_power = len(monomial) - sum(monomial) // 2 if tag == "invariant" else 0
-        z.set_coefficient(monomial, _loop_moment(measure_beta, scale, monomial)
+            coeff *= Fraction(strength, 2 * j) ** m / factorial(m)
+        n_power = len(monomial) - sum(monomial) // 2 if row.symbolic else 0
+        z.set_coefficient(monomial, _loop_moment(measure_beta, Fraction(strength, 4), monomial)
                           * NPoly.N(n_power, coeff))
     return z.log()
 
@@ -206,18 +193,17 @@ def oracle_compare(beta: int, tag: str, degree: int, sizes: Sequence[int],
     coefficient polynomials are compared once; each size only evaluates
     them into its reports.  invariant's scale N beta/4 is rescaled's beta/4
     with the eigenvalues divided by sqrt(N), which multiplies a moment of
-    e = sum/2 edges by N**-e, and its v vertex factors N beta/(2j) add N**v;
-    its graph side is compared at r**2 = beta/2.  The oracle side comes
-    first: it checks the degree budget, which must fail before the graph
-    side pays for its catalog.
+    e = sum/2 edges by N**-e, and its v vertex factors N beta/(2j) add N**v.
+    The graph side is compared at r**2 = beta/2, which leaves a series
+    without r as it is.  The oracle side comes first: it checks the tag's
+    beta and the degree budget, which must fail before the graph side pays
+    for its catalog.
     """
     oracle_side = oracle_logZ(beta, tag, degree, budget)
     if not sizes or min(sizes) < 1:
         raise UsageError("matrix sizes must be >= 1, got %s" % list(sizes))
-    graph_side = expand_logZ(tag, degree, beta=None if tag == "invariant" else beta,
-                             half_edge_budget=half_edge_budget)
-    if tag == "invariant":
-        graph_side = graph_side.reduce_root(Fraction(beta, 2))
+    graph_side = expand_logZ(tag, degree, beta=None if _TAGS[tag].symbolic else beta,
+                             half_edge_budget=half_edge_budget).reduce_root(Fraction(beta, 2))
 
     def report(n: int, key: Tuple[int, ...], equal: bool) -> OracleReport:
         return OracleReport(beta=beta, n=n, tag=tag, monomial=key,

@@ -166,17 +166,15 @@ def nonorientable_remainder(order: int) -> ZSeries:
     """sum over q >= 0, n > 0, 1-2q-n < 0 of the odd-chi Bernoulli terms.
 
     This is the series R with K(z,N,2) = K(z,2N,1)/2 - R/2 and
-    J(2z,2N,2) = J(z,2N,1)/2 + R/2.
+    J(2z,2N,2) = J(z,2N,1)/2 + R/2.  Its z**m N**n coefficient is
+    2**(n+1) (-1)**m real_moduli_euler(q, n) with n = m + 1 - 2q, and every
+    such (q, n) is hyperbolic: 1 - 2q - n = -m.
     """
     out = ZSeries(order)
     for m in range(1, order + 1):
         for q in range(m // 2 + 1):
             n = m + 1 - 2 * q
-            if n <= 0 or 1 - 2 * q - n >= 0:
-                continue
-            coeff = (Fraction(factorial(2 * q + n - 2)) * (Fraction(2) ** (2 * q - 1) - 1)
-                     / (factorial(2 * q) * factorial(n))) * bernoulli(2 * q)
-            out.add_term(m, NPoly.N(n, coeff * Fraction(2) ** n * (-1) ** m))
+            out.add_term(m, NPoly.N(n, 2 ** (n + 1) * (-1) ** m * real_moduli_euler(q, n)))
     return out
 
 

@@ -5,22 +5,24 @@ t_3**2 * t_4 is (3, 3, 4); its weighted degree is the sum of entries
 (deg t_n = n).  All series carry an explicit truncation degree and binary
 operations refuse mixed truncations rather than silently re-truncating.
 
-The graph-sum expansions of the free energy log Z come in several
-normalizations; each is a per-class weight built from the surface data:
+The graph-sum expansions of the free energy log Z come in five
+normalizations, one row each of _TAGS.  A tag expands the integral with
+Gaussian -s tr(X^2)/4 and vertex terms s t_j/(2j) tr X^j at its strength
+s, at the beta it fixes or else the caller's, over the couplings it keeps;
+each class gets a weight built from its surface data:
 
-  master      mu(beta) * N**f                    (Gaussian -tr(X^2)/4,
-                                                  vertices t_j/(2j) tr X^j)
-  rescaled    mu(beta) * beta**(chi-f) * N**f    (Gaussian -beta tr(X^2)/4)
-  hermitian   2 * N**f, beta = 2                 (Gaussian -tr(X^2)/2,
-                                                  vertices t_j/j tr X^j)
-  gse-penner  (-1)**chi * (2N)**f, beta = 4      (same exponent shape,
-                                                  couplings j >= 3)
-  invariant   2 (sqrt(a) N)**chi (3-a-1/a)**(1-sigma/2-chi/2)
-                * (1/sqrt(a)-sqrt(a))**sigma     (Gaussian -N a tr(X^2)/2,
-                                                  vertices N a t_j/j)
+  tag         class weight                        beta    couplings  s
+  master      mu(beta) * N**f                     1,2,4   all        1
+  rescaled    mu(beta) * beta**(chi-f) * N**f     1,2,4   all        beta
+  hermitian   2 * N**f if orientable, else 0      2       all        beta
+  gse-penner  (-1)**chi * (2N)**f                 4       j >= 3     2
+  invariant   2 (sqrt(a) N)**chi                  none    all        N beta
+                * (3-a-1/a)**(1-sigma/2-chi/2)
+                * (1/sqrt(a)-sqrt(a))**sigma
 
-with mu the sprinkling invariant.  The invariant form is symbolic in the
-root r = sqrt(alpha) and is the fixed point of the duality
+with mu the sprinkling invariant.  The invariant weight is symbolic in the
+root r = sqrt(alpha) and reads no beta; its integral is the one at
+alpha = beta/2, and it is the fixed point of the duality
 alpha -> 1/alpha, N -> -alpha N.
 """
 
@@ -28,10 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .catalog import HALF_EDGE_BUDGET, enumerate_graphs
-from .errors import TAGS, BudgetError, UsageError
+from .errors import BudgetError, UsageError
 from .graphs import TopologyProfile
 from .npoly import NPoly, add_term, mul_terms
 from .parallel import pmap
@@ -176,7 +178,7 @@ def iter_monomials(degree: int, allowed: Optional[Callable[[int], bool]] = None
             yield tuple(sorted(combo))
 
 
-# -- normalization weights --------------------------------------------------------
+# -- normalization tags ---------------------------------------------------------
 
 def _weight_master(topo: TopologyProfile, beta: int) -> NPoly:
     return NPoly.N(topo.f, mu_closed_form(topo, beta))
@@ -208,45 +210,49 @@ def _weight_invariant(topo: TopologyProfile, beta=None) -> NPoly:
     return out
 
 
-_WEIGHTS = {
-    "master": _weight_master,
-    "rescaled": _weight_rescaled,
-    "hermitian": _weight_hermitian,
-    "gse-penner": _weight_gse_penner,
-    "invariant": _weight_invariant,
+@dataclass(frozen=True)
+class _Tag:
+    """One normalization: a row of the module docstring's table."""
+    weight: Callable[[TopologyProfile, Optional[int]], NPoly]  # of a class, by its topology
+    beta: Optional[int]  # the beta the tag fixes; None: the caller's, 1, 2 or 4
+    dropped: FrozenSet[int]  # the couplings t_j its expansion leaves out
+    strength: Optional[int]  # s: Gaussian scale s/4, vertex factors s/(2j); None: s = beta
+    symbolic: bool  # weight symbolic in r, read at no beta; s carries a factor N
+
+
+_TAGS = {
+    "master": _Tag(_weight_master, None, frozenset(), 1, False),
+    "rescaled": _Tag(_weight_rescaled, None, frozenset(), None, False),
+    "hermitian": _Tag(_weight_hermitian, 2, frozenset(), None, False),
+    "gse-penner": _Tag(_weight_gse_penner, 4, frozenset({1, 2}), 2, False),
+    "invariant": _Tag(_weight_invariant, None, frozenset(), None, True),
 }
 
 
-def _validate_tag(tag: str, beta: Optional[int]) -> Optional[int]:
-    if tag not in TAGS:
+def _row(tag: str) -> _Tag:
+    if tag not in _TAGS:
         raise UsageError("unknown normalization tag %r" % tag)
-    if tag == "hermitian":
-        if beta not in (None, 2):
-            raise UsageError("hermitian normalization fixes beta = 2")
-        return 2
-    if tag == "gse-penner":
-        if beta not in (None, 4):
-            raise UsageError("gse-penner normalization fixes beta = 4")
-        return 4
-    if tag == "invariant":
-        return None
+    return _TAGS[tag]
+
+
+def _ensemble_beta(tag: str, beta: Optional[int]) -> int:
+    """The beta a tag's integral is taken at: the one it fixes, else the given 1, 2 or 4."""
+    fixed = _row(tag).beta
+    if fixed is not None:
+        if beta not in (None, fixed):
+            raise UsageError("%s normalization fixes beta = %d" % (tag, fixed))
+        return fixed
     if beta not in (1, 2, 4):
         raise UsageError("tag %r needs beta in {1,2,4}" % tag)
     return beta
 
 
-def _dropped_couplings(tag: str, include_t1: bool, include_t2: bool) -> Set[int]:
-    """The couplings t_j a tag's expansion leaves out.
-
-    t_1 and t_2 drop out on request, and always for gse-penner, whose
-    couplings start at j = 3.
-    """
-    if tag == "gse-penner":
-        return {1, 2}
-    return {j for j, keep in ((1, include_t1), (2, include_t2)) if not keep}
+def _dropped_couplings(tag: str, include_t1: bool, include_t2: bool) -> FrozenSet[int]:
+    """The couplings t_j an expansion leaves out: the tag's, and t_1, t_2 on request."""
+    return _row(tag).dropped | {j for j, keep in ((1, include_t1), (2, include_t2)) if not keep}
 
 
-def _monomial_count(degree: int, dropped: Set[int]) -> Optional[int]:
+def _monomial_count(degree: int, dropped: FrozenSet[int]) -> Optional[int]:
     """len(tag_monomials(...)) without listing them; None from 10**30 on.
 
     The monomials are the partitions of the even weights 2..degree with no
@@ -292,7 +298,7 @@ def _connected_sum(args) -> NPoly:
     for entry in enumerate_graphs(list(monomial), connected_only=True,
                                   half_edge_budget=half_edge_budget):
         census[entry.topology] = census.get(entry.topology, 0) + Fraction(1, entry.aut_moebius)
-    weight = _WEIGHTS[tag]
+    weight = _TAGS[tag].weight
     total = NPoly.zero()
     for topo, inverse_aut in census.items():
         total = total + weight(topo, beta) * inverse_aut
@@ -310,7 +316,10 @@ def expand_logZ(tag: str, degree: int, beta: Optional[int] = None,
     """
     if threads < 1:
         raise UsageError("threads must be >= 1, got %d" % threads)
-    beta = _validate_tag(tag, beta)
+    if not _row(tag).symbolic:
+        beta = _ensemble_beta(tag, beta)
+    elif beta is not None:
+        raise UsageError("tag %r is symbolic in r = sqrt(alpha) and reads no beta" % tag)
     needed = degree - degree % 2
     if needed > half_edge_budget:
         count = _monomial_count(degree, _dropped_couplings(tag, include_t1, include_t2))

@@ -11,6 +11,7 @@ import pytest
 
 from mobex import cli, oracle, series, sprinkle
 from mobex.dualchar import CharpolyReport
+from mobex.errors import TAGS
 from mobex.graphs import MoebiusGraph, graph_to_json
 
 
@@ -58,7 +59,7 @@ def test_expand_threads_do_not_change_bytes(capsys):
 # golden_cli/<name>.json -> argv; the files were written by an earlier commit
 GOLDEN_CASES = {"expand_master_b4_d6": ["expand", "--beta", "4", "--tag", "master",
                                         "--max-degree", "6"]}
-for _tag in series.TAGS:
+for _tag in TAGS:
     for _beta in {"master": (1, 2, 4), "rescaled": (1, 2, 4)}.get(_tag, (None,)):
         GOLDEN_CASES["expand_%s%s_d8" % (_tag, "" if _beta is None else "_b%d" % _beta)] = (
             ["expand", "--tag", _tag, "--max-degree", "8"]
@@ -267,7 +268,7 @@ def test_csv_quotes_json_cells(capsys):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("tag", series.TAGS)
+@pytest.mark.parametrize("tag", TAGS)
 def test_expand_output_is_expand_logZ(capsys, tag, threads):
     beta = {"master": 1, "rescaled": 4}.get(tag)
     argv = ["expand", "--tag", tag, "--max-degree", "6", "--threads", str(threads)]
@@ -419,6 +420,11 @@ FAILURE_CONTRACT = [
     ("oracle --beta 1 --n 0 --max-degree 1", cli.EXIT_USAGE),
     ("oracle --beta 1 --n -3 --max-degree 0", cli.EXIT_USAGE),
     ("oracle --beta 3 --n 2 --tag invariant --max-degree 1", cli.EXIT_USAGE),
+    # invariant's beta is checked before the degree budget, as master's is
+    ("oracle --beta 7 --n 1 --tag invariant --max-degree 10", cli.EXIT_USAGE),
+    # invariant's graph side is symbolic in r and reads no beta
+    ("expand --tag invariant --beta 1 --max-degree 2", cli.EXIT_USAGE),
+    ("expand --tag invariant --beta 7 --max-degree 2", cli.EXIT_USAGE),
     ("oracle mc --beta 1 --n 2 --powers x", cli.EXIT_USAGE),
     ("oracle mc --beta 1 --n 2 --powers 2,", cli.EXIT_USAGE),
     ("oracle mc --beta 1 --n 2 --seed -1", cli.EXIT_USAGE),
@@ -448,6 +454,7 @@ FAILURE_CONTRACT = [
     ("nosuch", cli.EXIT_USAGE),
     # a subcommand refuses an option it does not read
     ("graphs --profile 3:2 --threads 2", cli.EXIT_USAGE),
+    ("expand --beta 1 --max-degree 2 --no-t1", cli.EXIT_USAGE),
     ("mu --graph {tmp}/klein.json --beta 2 --format json", cli.EXIT_USAGE),
     # a mode that prints one JSON record has no table
     ("oracle mc --beta 1 --n 2 --samples 10 --format csv", cli.EXIT_USAGE),
@@ -503,6 +510,10 @@ FAILURE_CONTRACT = [
     ("penner --model I --r 1e5000 --order 1", cli.EXIT_BUDGET),
     ("penner --alpha 1e5000 --order 30", cli.EXIT_BUDGET),
     ("duality --alpha 1e5000 --max-degree 2", cli.EXIT_BUDGET),
+    # a rational past 100,000 implied digits is refused before it is built
+    ("clt --alpha 1e3000000", cli.EXIT_USAGE),
+    ("penner --alpha 1e3000000 --order 1", cli.EXIT_USAGE),
+    ("penner --alpha 1e-3000000 --order 1", cli.EXIT_USAGE),
 ]
 
 
@@ -523,6 +534,18 @@ def test_unprintable_output_refusal_follows_the_interpreter_limit(capsys):
         assert code == 0 and json.loads(out)["alpha"] == "%d" % 10 ** 5000
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_a_rational_is_refused_by_its_implied_digits_before_it_is_built(capsys, monkeypatch):
+    def no_conversion(text):
+        raise AssertionError("Fraction(%r) was built" % text)
+
+    monkeypatch.setattr(cli, "Fraction", no_conversion)
+    code, _, err = run_cli(capsys, "penner", "--alpha", "1e3000000", "--order", "1")
+    assert code == cli.EXIT_USAGE
+    assert json.loads(err)["error"] == ("mobex penner: argument --alpha: '1e3000000' implies"
+                                        " about 3000001 digits, past the 100000-digit limit"
+                                        " on a rational")
 
 
 @pytest.mark.parametrize("line,expected", FAILURE_CONTRACT)

@@ -85,3 +85,14 @@ def test_cli_subcommand_help(sub):
     listed = {flag for flag in SHARED_OPTIONS
               if re.search(r"(?<![\w-])%s(?![\w-])" % flag, proc.stdout.decode())}
     assert listed == SUBCOMMAND_OPTIONS[sub]
+
+
+# every option of expand, shared or its own: each one is read by its runner
+EXPAND_OPTIONS = {"--format", "--half-edge-budget", "--threads", "--beta", "--tag",
+                  "--max-degree"}
+
+
+def test_expand_accepts_exactly_the_options_it_reads():
+    expand = build_parser()._subparsers._group_actions[0].choices["expand"]
+    flags = {flag for action in expand._actions for flag in action.option_strings}
+    assert flags - {"-h", "--help"} == EXPAND_OPTIONS

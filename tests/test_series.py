@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from mobex.errors import BudgetError, UsageError
+from mobex.errors import TAGS, BudgetError, UsageError
 from mobex.npoly import NPoly, _add_keys, add_term, mul_terms
-from mobex.series import (CouplingSeries, apply_duality, expand_logZ, expand_Z,
+from mobex.series import (_TAGS, CouplingSeries, apply_duality, expand_logZ, expand_Z,
                           iter_monomials, rescale_couplings, series_one,
                           tag_monomials)
 
@@ -194,6 +194,15 @@ def test_tag_validation():
         expand_logZ("hermitian", 4, beta=4)
     with pytest.raises(UsageError):
         expand_logZ("nonsense", 4, beta=1)
+    for beta in (1, 7):  # the graph side is symbolic in r and reads no beta
+        with pytest.raises(UsageError, match="reads no beta"):
+            expand_logZ("invariant", 2, beta=beta)
+    with pytest.raises(UsageError, match="unknown normalization tag"):
+        tag_monomials("nonsense", 4)
+
+
+def test_one_row_per_tag():
+    assert tuple(_TAGS) == TAGS
 
 
 def test_iter_monomials_weighting():
