@@ -16,8 +16,10 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import log10
 from typing import List, Optional
 
@@ -60,6 +62,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError("%s: %s" % (self.prog, message))
 
 
+# the most digits Python reads or prints as one integer; 0: no limit, as before Python 3.10.7
+_int_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 # argparse types: the parser reports their errors as usage errors
 
 # Fraction("1e1000000") takes 0.4 s to build on a 2-vCPU VM, "1e100000" 0.01 s
@@ -70,8 +75,13 @@ def _parse_fraction(text: str) -> Fraction:
     """A rational from its text, refused past _FRACTION_DIGITS implied digits.
 
     Fraction builds 10**exponent before any check, so the text's digit
-    count plus its exponent's size is bounded before it is converted.
+    count plus its exponent's size, and each run of digits, is bounded first.
     """
+    limit = _int_digit_limit()
+    run = max((len(digits) for digits in re.findall(r"\d+", text)), default=0)
+    if limit and run > limit:
+        raise argparse.ArgumentTypeError("%r... holds %d digits in a row, past Python's %d-digit"
+                                         " limit on reading an integer" % (text[:10], run, limit))
     mantissa, _, exponent = text.lower().partition("e")
     try:
         digits = len(mantissa) + abs(int(exponent or 0))
@@ -110,7 +120,7 @@ def _refuse_unprintable(what: str, value: Fraction, power: int, allowance: float
     digits hold.  Python refuses to print an integer of more digits than
     sys.get_int_max_str_digits(), unless that is 0.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # Python < 3.10.7: none
+    limit = _int_digit_limit()
     digits = int(power * log10(max(abs(value.numerator), value.denominator)) + allowance) + 1
     if limit and digits > limit:
         raise BudgetError("%s would print integers of about %s digits, past Python's %d-digit"
@@ -351,7 +361,9 @@ _SHARED = {"--format": {"choices": ["json", "table", "csv"], "default": "json"},
 _MODES = ("oracle mc", "penner euler", "charpoly verify")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves a parser unchanged."""
     parser = _Parser(prog="mobex", description="Exact Moebius-graph expansions of"
                      " GOE/GUE/GSE matrix integrals")
     sub = parser.add_subparsers(dest="subcommand", required=True)

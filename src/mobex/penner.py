@@ -111,27 +111,34 @@ class ZSeries:
 
 def _four_sum(order: int, a: Fraction) -> ZSeries:
     """Bernoulli four-sum for the Vandermonde power 2a, a > 0 rational:
-    K(z, N, a), which is J(z, N, 1/a)."""
+    K(z, N, a), which is J(z, N, 1/a).
+
+    Its z**m N**(m+2-2q-2s) terms depend on q only through t = q + s, so
+    they are summed by t: row[t], the sum over q <= t of B_2q B_2(t-q)
+    a**(-2q) / ((2q)! (2t-2q)!), is built once for every m (less its q = t
+    term at t = (m+1)/2, where q <= m//2 excludes it), so each m costs O(m)."""
     if order < 1:
         raise UsageError("order must be >= 1")
     if a <= 0:
         raise UsageError("the Vandermonde power 2a needs a > 0")
+    top = (order + 1) // 2
+    right = [bernoulli(2 * s) / factorial(2 * s) for s in range(top + 1)]  # B_2s / (2s)!
+    left = [right[q] / a ** (2 * q) for q in range(top + 1)]  # B_2q a**(-2q) / (2q)!
+    row = [sum(left[q] * right[t - q] for q in range(t + 1)) for t in range(top + 1)]
     out = ZSeries(order)
     for m in range(1, order + 1):
+        signed = Fraction((-1) ** m * factorial(m - 1))
         if m % 2:
             g = (m + 1) // 2
             out.add_term(m, NPoly.N(1, bernoulli(2 * g) / Fraction(2 * g * (2 * g - 1))))
         out.add_term(m, NPoly.N(m, Fraction((-1) ** m, 4 * m) * a ** m))
         for q in range(m // 2 + 1):
-            coeff = (Fraction((-1) ** m * factorial(m - 1)) * bernoulli(2 * q)
-                     / (factorial(2 * q) * factorial(m + 1 - 2 * q)))
-            out.add_term(m, NPoly.N(m + 1 - 2 * q,
-                                    Fraction(1, 2) * coeff * a ** m * (a ** (1 - 2 * q) - 1)))
-            for s in range((m + 1) // 2 - q + 1):
-                coeff4 = (Fraction((-1) ** m * factorial(m - 1)) * bernoulli(2 * q) * bernoulli(2 * s)
-                          / (factorial(2 * q) * factorial(2 * s) * factorial(m + 2 - 2 * q - 2 * s)))
-                out.add_term(m, NPoly.N(m + 2 - 2 * q - 2 * s,
-                                        -coeff4 * a ** (m + 1 - 2 * q)))
+            out.add_term(m, NPoly.N(m + 1 - 2 * q, signed * right[q] / factorial(m + 1 - 2 * q)
+                                    * a ** m * (a ** (1 - 2 * q) - 1) / 2))
+        for t in range((m + 1) // 2 + 1):
+            inner = row[t] - left[t] if 2 * t == m + 1 else row[t]
+            out.add_term(m, NPoly.N(m + 2 - 2 * t,
+                                    -signed * inner * a ** (m + 1) / factorial(m + 2 - 2 * t)))
     return out
 
 

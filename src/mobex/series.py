@@ -24,12 +24,17 @@ with mu the sprinkling invariant.  The invariant weight is symbolic in the
 root r = sqrt(alpha) and reads no beta; its integral is the one at
 alpha = beta/2, and it is the fixed point of the duality
 alpha -> 1/alpha, N -> -alpha N.
+
+Every weight reads a class only through its topology, so each monomial's
+census, topology -> sum of 1/|Aut|, and each (chi, sigma)'s invariant
+weight are computed once per process and shared by every tag and call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .catalog import HALF_EDGE_BUDGET, enumerate_graphs
@@ -200,14 +205,15 @@ def _weight_gse_penner(topo: TopologyProfile, beta: int) -> NPoly:
 
 
 def _weight_invariant(topo: TopologyProfile, beta=None) -> NPoly:
-    chi, sigma = topo.chi, topo.sigma
+    return _invariant_weight(topo.chi, topo.sigma)
+
+
+@lru_cache(maxsize=None)
+def _invariant_weight(chi: int, sigma: int) -> NPoly:
     expo = 1 - (sigma + chi) // 2
     base = NPoly.const(3) - NPoly.root(2) - NPoly.root(-2)
     out = NPoly.monomial(chi, chi, 2)  # 2 (sqrt(a) N)**chi
-    out = out * base ** expo
-    if sigma:
-        out = out * (NPoly.root(-1) - NPoly.root(1)) ** sigma
-    return out
+    return out * base ** expo * (NPoly.root(-1) - NPoly.root(1)) ** sigma
 
 
 @dataclass(frozen=True)
@@ -290,17 +296,22 @@ def tag_monomials(tag: str, degree: int, include_t1: bool = True,
     return list(iter_monomials(degree, allowed=lambda j: j not in dropped))
 
 
-def _connected_sum(args) -> NPoly:
-    """Weighted connected-class sum of one monomial (a pmap worker)."""
-    monomial, tag, beta, half_edge_budget = args
-    # every weight depends on the class only through its topology
+@lru_cache(maxsize=None)
+def _census(monomial: Monomial, half_edge_budget: int) -> tuple:
+    """(topology, sum of 1/|Aut|) over the connected classes of one monomial."""
     census: Dict[TopologyProfile, Fraction] = {}
     for entry in enumerate_graphs(list(monomial), connected_only=True,
                                   half_edge_budget=half_edge_budget):
         census[entry.topology] = census.get(entry.topology, 0) + Fraction(1, entry.aut_moebius)
+    return tuple(census.items())
+
+
+def _connected_sum(args) -> NPoly:
+    """Weighted connected-class sum of one monomial (a pmap worker)."""
+    monomial, tag, beta, half_edge_budget = args
     weight = _TAGS[tag].weight
     total = NPoly.zero()
-    for topo, inverse_aut in census.items():
+    for topo, inverse_aut in _census(monomial, half_edge_budget):
         total = total + weight(topo, beta) * inverse_aut
     return total
 

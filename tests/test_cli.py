@@ -67,6 +67,20 @@ for _tag in TAGS:
 for _which in ("BHC", "BHQ"):
     GOLDEN_CASES["charpoly_verify_%s_N4_k2" % _which] = [
         "charpoly", "verify", "--which", _which, "--N", "4", "--k", "2"]
+GOLDEN_CASES.update({
+    "penner_J_o30": ["penner", "--model", "J", "--order", "30"],
+    "penner_I_o30": ["penner", "--model", "I", "--order", "30"],
+    "penner_K_a7-5_o12": ["penner", "--model", "K", "--alpha", "7/5", "--order", "12"],
+    "clt_verify_d8": ["clt", "--verify", "--max-degree", "8"],
+})
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    lines = [["penner", "--order", "x"], ["penner", "--order", "3"]] * 2
+    runs = [run_cli(capsys, *argv) for argv in lines]
+    assert runs[0][0] == cli.EXIT_USAGE and runs[1][0] == 0
+    assert runs[2:] == runs[:2]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -525,13 +539,21 @@ def test_unprintable_output_refusal_follows_the_interpreter_limit(capsys):
     limit = sys.get_int_max_str_digits()
     assert json.loads(err)["error"] == ("duality --alpha would print integers of about 5001"
                                         " digits, past Python's %d-digit limit" % limit)
+    # the same value written out has more digits in a row than Python reads
+    ten_to_5000 = "1" + "0" * 5000
+    code, out, err = run_cli(capsys, "duality", "--alpha", ten_to_5000, "--max-degree", "2")
+    assert code == cli.EXIT_USAGE and out == ""
+    assert json.loads(err)["error"] == ("mobex duality: argument --alpha: '1000000000'... holds"
+                                        " 5001 digits in a row, past Python's %d-digit limit on"
+                                        " reading an integer" % limit)
     sys.set_int_max_str_digits(0)  # no limit: nothing is refused
     try:
         code, out, _ = run_cli(capsys, "penner", "--alpha", "1e5000", "--order", "1")
         assert code == 0
         assert max(len(c) for c in json.loads(out)["1"].values()) > 10000
-        code, out, _ = run_cli(capsys, "duality", "--alpha", "1e5000", "--max-degree", "2")
-        assert code == 0 and json.loads(out)["alpha"] == "%d" % 10 ** 5000
+        for alpha in ("1e5000", ten_to_5000):
+            code, out, _ = run_cli(capsys, "duality", "--alpha", alpha, "--max-degree", "2")
+            assert code == 0 and json.loads(out)["alpha"] == ten_to_5000
     finally:
         sys.set_int_max_str_digits(limit)
 

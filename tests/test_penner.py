@@ -76,6 +76,33 @@ def test_J_equals_its_own_four_sum_to_z30():
         assert J_series(30, gamma) == j_four_sum(30, gamma), gamma
 
 
+@pytest.mark.parametrize("a", [Fraction(1, 3), Fraction(2, 3), Fraction(7, 5), Fraction(5, 2)])
+def test_K_equals_the_literal_triple_sum_to_z30(a):
+    # the four-sum term by term, its N**(m+2-2q-2s) terms summed over q and s
+    # apart, as it reads before the regrouping by t = q + s
+    def k_four_sum(order, a):
+        out = ZSeries(order)
+        for m in range(1, order + 1):
+            if m % 2:
+                g = (m + 1) // 2
+                out.add_term(m, NPoly.N(1, bernoulli(2 * g) / Fraction(2 * g * (2 * g - 1))))
+            out.add_term(m, NPoly.N(m, Fraction((-1) ** m, 4 * m) * a ** m))
+            for q in range(m // 2 + 1):
+                coeff = (Fraction((-1) ** m * factorial(m - 1)) * bernoulli(2 * q)
+                         / (factorial(2 * q) * factorial(m + 1 - 2 * q)))
+                out.add_term(m, NPoly.N(m + 1 - 2 * q,
+                                        Fraction(1, 2) * coeff * a ** m * (a ** (1 - 2 * q) - 1)))
+                for s in range((m + 1) // 2 - q + 1):
+                    coeff4 = (Fraction((-1) ** m * factorial(m - 1)) * bernoulli(2 * q)
+                              * bernoulli(2 * s) / (factorial(2 * q) * factorial(2 * s)
+                                                    * factorial(m + 2 - 2 * q - 2 * s)))
+                    out.add_term(m, NPoly.N(m + 2 - 2 * q - 2 * s,
+                                            -coeff4 * a ** (m + 1 - 2 * q)))
+        return out
+
+    assert K_series(30, a) == k_four_sum(30, a)
+
+
 def test_remainder_sign_relation():
     # K(z,N,2) - K(z,2N,1)/2 and J(2z,2N,2) - J(z,2N,1)/2 are opposite
     order = 10
