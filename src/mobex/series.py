@@ -8,26 +8,26 @@ operations refuse mixed truncations rather than silently re-truncating.
 The graph-sum expansions of the free energy log Z come in five
 normalizations, one row each of _TAGS.  A tag expands the integral with
 Gaussian -s tr(X^2)/4 and vertex terms s t_j/(2j) tr X^j at its strength
-s, at the beta it fixes or else the caller's, over the couplings it keeps;
-each class gets a weight built from its surface data:
+s, at the beta it fixes or else the caller's, over the couplings it keeps:
 
-  tag         class weight                        beta    couplings  s
-  master      mu(beta) * N**f                     1,2,4   all        1
-  rescaled    mu(beta) * beta**(chi-f) * N**f     1,2,4   all        beta
-  hermitian   2 * N**f if orientable, else 0      2       all        beta
-  gse-penner  (-1)**chi * (2N)**f                 4       j >= 3     2
-  invariant   2 (sqrt(a) N)**chi                  none    all        N beta
-                * (3-a-1/a)**(1-sigma/2-chi/2)
-                * (1/sqrt(a)-sqrt(a))**sigma
+  tag         beta    couplings  s
+  master      1,2,4   all        1
+  rescaled    1,2,4   all        beta
+  hermitian   2       all        beta
+  gse-penner  4       j >= 3     2
+  invariant   none    all        N beta
 
-with mu the sprinkling invariant.  The invariant weight is symbolic in the
-root r = sqrt(alpha) and reads no beta; its integral is the one at
+Every tag weighs a class by one formula, mu_b * s**(chi - f) * N**f, with
+mu_b the sprinkling invariant's closed form at b = beta: so hermitian is
+rescaled at beta = 2 (mu_2 vanishes off orientable surfaces) and master
+is rescaled at beta = 1.  invariant is symbolic in r = sqrt(alpha), with
+b = 2 r**2 and s = N b, and reads no beta; its integral is the one at
 alpha = beta/2, and it is the fixed point of the duality
 alpha -> 1/alpha, N -> -alpha N.
 
-Every weight reads a class only through its topology, so each monomial's
-census, topology -> sum of 1/|Aut|, and each (chi, sigma)'s invariant
-weight are computed once per process and shared by every tag and call.
+The weight reads a class only through (f, chi, sigma), so each monomial's
+census, (f, chi, sigma) -> sum of 1/|Aut|, and each weight are computed
+once per process and shared by every tag and call.
 """
 
 from __future__ import annotations
@@ -39,10 +39,9 @@ from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .catalog import HALF_EDGE_BUDGET, enumerate_graphs
 from .errors import BudgetError, UsageError
-from .graphs import TopologyProfile
 from .npoly import NPoly, add_term, mul_terms
 from .parallel import pmap
-from .sprinkle import mu_closed_form
+from .sprinkle import _mu_closed
 
 Monomial = Tuple[int, ...]
 
@@ -185,54 +184,31 @@ def iter_monomials(degree: int, allowed: Optional[Callable[[int], bool]] = None
 
 # -- normalization tags ---------------------------------------------------------
 
-def _weight_master(topo: TopologyProfile, beta: int) -> NPoly:
-    return NPoly.N(topo.f, mu_closed_form(topo, beta))
-
-
-def _weight_rescaled(topo: TopologyProfile, beta: int) -> NPoly:
-    coeff = Fraction(mu_closed_form(topo, beta)) * Fraction(beta) ** (topo.chi - topo.f)
-    return NPoly.N(topo.f, coeff)
-
-
-def _weight_hermitian(topo: TopologyProfile, beta: int) -> NPoly:
-    if topo.natural != 1:
-        return NPoly.zero()
-    return NPoly.N(topo.f, 2)
-
-
-def _weight_gse_penner(topo: TopologyProfile, beta: int) -> NPoly:
-    return NPoly.N(topo.f, (-1 if topo.chi % 2 else 1) * 2 ** topo.f)
-
-
-def _weight_invariant(topo: TopologyProfile, beta=None) -> NPoly:
-    return _invariant_weight(topo.chi, topo.sigma)
-
-
-@lru_cache(maxsize=None)
-def _invariant_weight(chi: int, sigma: int) -> NPoly:
-    expo = 1 - (sigma + chi) // 2
-    base = NPoly.const(3) - NPoly.root(2) - NPoly.root(-2)
-    out = NPoly.monomial(chi, chi, 2)  # 2 (sqrt(a) N)**chi
-    return out * base ** expo * (NPoly.root(-1) - NPoly.root(1)) ** sigma
-
-
 @dataclass(frozen=True)
 class _Tag:
-    """One normalization: a row of the module docstring's table."""
-    weight: Callable[[TopologyProfile, Optional[int]], NPoly]  # of a class, by its topology
+    """One normalization as data: a row of the module docstring's table."""
     beta: Optional[int]  # the beta the tag fixes; None: the caller's, 1, 2 or 4
     dropped: FrozenSet[int]  # the couplings t_j its expansion leaves out
     strength: Optional[int]  # s: Gaussian scale s/4, vertex factors s/(2j); None: s = beta
-    symbolic: bool  # weight symbolic in r, read at no beta; s carries a factor N
+    symbolic: bool  # symbolic in r at beta = 2 r**2, read at no beta; s carries a factor N
 
 
 _TAGS = {
-    "master": _Tag(_weight_master, None, frozenset(), 1, False),
-    "rescaled": _Tag(_weight_rescaled, None, frozenset(), None, False),
-    "hermitian": _Tag(_weight_hermitian, 2, frozenset(), None, False),
-    "gse-penner": _Tag(_weight_gse_penner, 4, frozenset({1, 2}), 2, False),
-    "invariant": _Tag(_weight_invariant, None, frozenset(), None, True),
+    "master": _Tag(None, frozenset(), 1, False),
+    "rescaled": _Tag(None, frozenset(), None, False),
+    "hermitian": _Tag(2, frozenset(), None, False),
+    "gse-penner": _Tag(4, frozenset({1, 2}), 2, False),
+    "invariant": _Tag(None, frozenset(), None, True),
 }
+
+
+@lru_cache(maxsize=None)
+def _weight(tag: str, beta: Optional[int], f: int, chi: int, sigma: int) -> NPoly:
+    """A class's weight mu_b * s**(chi - f) * N**f in a tag, from its surface data."""
+    row = _TAGS[tag]
+    b = NPoly.root(2, 2) if row.symbolic else beta
+    s = NPoly.N(1 if row.symbolic else 0) * (b if row.strength is None else row.strength)
+    return NPoly.N(f) * _mu_closed(b, f, chi, sigma) * s ** (chi - f)
 
 
 def _row(tag: str) -> _Tag:
@@ -298,21 +274,21 @@ def tag_monomials(tag: str, degree: int, include_t1: bool = True,
 
 @lru_cache(maxsize=None)
 def _census(monomial: Monomial, half_edge_budget: int) -> tuple:
-    """(topology, sum of 1/|Aut|) over the connected classes of one monomial."""
-    census: Dict[TopologyProfile, Fraction] = {}
+    """((f, chi, sigma), sum of 1/|Aut|) over the connected classes of one monomial."""
+    census: Dict[Tuple[int, int, int], Fraction] = {}
     for entry in enumerate_graphs(list(monomial), connected_only=True,
                                   half_edge_budget=half_edge_budget):
-        census[entry.topology] = census.get(entry.topology, 0) + Fraction(1, entry.aut_moebius)
+        key = (entry.topology.f, entry.topology.chi, entry.topology.sigma)
+        census[key] = census.get(key, 0) + Fraction(1, entry.aut_moebius)
     return tuple(census.items())
 
 
 def _connected_sum(args) -> NPoly:
     """Weighted connected-class sum of one monomial (a pmap worker)."""
     monomial, tag, beta, half_edge_budget = args
-    weight = _TAGS[tag].weight
     total = NPoly.zero()
-    for topo, inverse_aut in _census(monomial, half_edge_budget):
-        total = total + weight(topo, beta) * inverse_aut
+    for surface, inverse_aut in _census(monomial, half_edge_budget):
+        total = total + _weight(tag, beta, *surface) * inverse_aut
     return total
 
 

@@ -18,7 +18,8 @@ surface and has the closed form
 
     mu = (-4+6b-b^2)^(1 - sigma/2 - chi/2) * (2-b)^sigma * b^(f-1),
 
-with (2-b)^sigma read as 1 when b=2 and sigma=0.
+with (2-b)^sigma read as 1 when b=2 and sigma=0.  The class weights of
+series also evaluate it at b = 2 r**2 for the invariant normalization.
 """
 
 from __future__ import annotations
@@ -214,19 +215,17 @@ def _vertex_outcomes(seq: List[int], known: Set[int], twists: Sequence[bool],
 def mu_closed_form(profile: TopologyProfile, beta: int) -> int:
     if beta not in (1, 2, 4):
         raise UsageError("beta must be 1, 2 or 4")
-    twice_exp = 2 - profile.sigma - profile.chi
-    if twice_exp % 2:
-        raise StructuralError("sigma and chi parities disagree; profile inconsistent")
-    exponent = twice_exp // 2
-    if exponent < 0:
-        raise StructuralError("negative closed-form exponent; profile inconsistent")
-    base = -4 + 6 * beta - beta * beta
-    value = base ** exponent
-    if profile.sigma:
-        value *= (2 - beta) ** profile.sigma
-    if profile.f < 1:
-        raise StructuralError("connected graphs have at least one face")
-    return value * beta ** (profile.f - 1)
+    return _mu_closed(beta, profile.f, profile.chi, profile.sigma)
+
+
+def _mu_closed(b, f: int, chi: int, sigma: int):
+    """The module docstring's closed form at any b with + and *: an int or an NPoly."""
+    twice_exp = 2 - sigma - chi
+    if twice_exp % 2 or twice_exp < 0 or f < 1:
+        raise StructuralError("inconsistent profile: the closed form needs an even"
+                              " 2 - sigma - chi >= 0 and f >= 1, got f = %d, chi = %d,"
+                              " sigma = %d" % (f, chi, sigma))
+    return (-4 + 6 * b - b * b) ** (twice_exp // 2) * (2 - b) ** sigma * b ** (f - 1)
 
 
 def mu_report(graph: MoebiusGraph, beta: int,

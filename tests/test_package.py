@@ -73,7 +73,8 @@ CATALOG = BASE + ["mobex.catalog", "mobex.graphs", "mobex.npoly"]
     (["graphs", "--profile", "3:2"], CATALOG),
     (["expand", "--beta", "1", "--max-degree", "4"],
      CATALOG + ["mobex.parallel", "mobex.series", "mobex.sprinkle"]),
-], ids=["import", "graphs", "expand"])
+    (["penner", "--order", "3"], BASE + ["mobex.npoly", "mobex.penner"]),
+], ids=["import", "graphs", "expand", "penner"])
 def test_cli_loads_only_the_layers_it_runs(argv, loaded):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(argv)], env=env,

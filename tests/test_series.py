@@ -108,16 +108,58 @@ def test_master_beta4_first_moment():
 
 def test_master_beta2_kills_nonorientable():
     from mobex.catalog import enumerate_graphs
-    from mobex.series import _weight_master
+    from mobex.sprinkle import mu_closed_form
     for profile in ((2,), (3, 3), (4,), (1, 3)):
         for entry in enumerate_graphs(list(profile)):
             if entry.topology.natural == -1:
-                assert _weight_master(entry.topology, 2) == NPoly.zero()
+                assert mu_closed_form(entry.topology, 2) == 0
     # consequently any monomial realized only by non-orientable graphs is absent
     series = expand_logZ("master", 6, beta=2)
     for key in series.terms:
         assert any(e.topology.natural == 1
                    for e in enumerate_graphs(list(key))), key
+
+
+def _paper_mu(topo, beta):
+    """The paper's closed form of mu on a class of this topology."""
+    return ((-4 + 6 * beta - beta * beta) ** (1 - (topo.sigma + topo.chi) // 2)
+            * (2 - beta) ** topo.sigma * Fraction(beta) ** (topo.f - 1))
+
+
+# each tag's class weight as the paper writes it, by topology and beta
+_PAPER_WEIGHTS = {
+    "master": lambda t, beta: NPoly.N(t.f, _paper_mu(t, beta)),
+    "rescaled": lambda t, beta: NPoly.N(
+        t.f, _paper_mu(t, beta) * Fraction(beta) ** (t.chi - t.f)),
+    "hermitian": lambda t, beta: NPoly.N(t.f, 2 if t.natural == 1 else 0),
+    "gse-penner": lambda t, beta: NPoly.N(t.f, (-1) ** (t.chi % 2) * 2 ** t.f),
+    "invariant": lambda t, beta: (
+        NPoly.monomial(t.chi, t.chi, 2)
+        * (3 - NPoly.root(2) - NPoly.root(-2)) ** (1 - (t.sigma + t.chi) // 2)
+        * (NPoly.root(-1) - NPoly.root(1)) ** t.sigma),
+}
+_ACCEPTED_BETAS = {"master": (1, 2, 4), "rescaled": (1, 2, 4), "hermitian": (2,),
+                   "gse-penner": (4,), "invariant": (None,)}
+
+
+@pytest.mark.parametrize("tag, beta", [(tag, beta) for tag, betas in _ACCEPTED_BETAS.items()
+                                       for beta in betas])
+def test_expansion_is_the_paper_weight_sum(tag, beta):
+    from mobex.catalog import enumerate_graphs
+    weight = _PAPER_WEIGHTS[tag]
+    want = {}
+    for monomial in tag_monomials(tag, 8):
+        total = NPoly.zero()
+        for entry in enumerate_graphs(list(monomial), connected_only=True):
+            total = total + weight(entry.topology, beta) * Fraction(1, entry.aut_moebius)
+        if total:
+            want[monomial] = total
+    assert expand_logZ(tag, 8, beta) == CouplingSeries(8, want)
+
+
+def test_hermitian_and_master_are_rescaled_at_their_beta():
+    assert expand_logZ("hermitian", 8) == expand_logZ("rescaled", 8, beta=2)
+    assert expand_logZ("master", 8, beta=1) == expand_logZ("rescaled", 8, beta=1)
 
 
 def test_hermitian_matches_ribbon_sum():
