@@ -21,8 +21,8 @@ _EXPORTS = {
     "sprinkle": ("MuReport", "UnitAlgebra", "calibrate_irreducibles",
                  "mu_bruteforce", "mu_closed_form", "mu_report"),
     "series": ("CouplingSeries", "apply_duality", "expand_logZ", "expand_Z"),
-    "oracle": ("MomentQuery", "OracleReport", "eigenvalue_moment",
-               "isserlis_trace_moment", "mc_estimate", "oracle_compare"),
+    "oracle": ("MomentQuery", "OracleReport", "eigenvalue_moment", "mc_estimate",
+               "oracle_compare", "wick_trace_moment"),
     "penner": ("ZSeries", "I_series", "J_series", "K1_series", "K2_series",
                "K_series", "bernoulli", "penner_substitute", "real_moduli_euler",
                "real_moduli_graph_sum"),

@@ -19,9 +19,9 @@ one class sum with (v, f) swapped, and the lhs/rhs agreement is term-by-term
 Poincare duality.  The finite-N polynomial identities behind them are
 verified exactly for every N and k <= 2.  The matrix side expands
 the determinants into power sums and exact eigenvalue moments.  The dual
-side builds the k x k self-adjoint Y = sum_u U_u (x) B_u from the unit
-matrices of the Monte Carlo sampler, over entry-level Gaussian variables,
-and takes Hdet(Lambda - i Y) as one Pfaffian: det M = +-Pf [[0, M], [-M^T, 0]]
+side reads the k x k self-adjoint Y = sum_u U_u (x) B_u, over entry-level
+Gaussian variables, from oracle's builder of the unit matrices, and takes
+Hdet(Lambda - i Y) as one Pfaffian: det M = +-Pf [[0, M], [-M^T, 0]]
 for BHC and Hdet M = +-Pf(M J), J = (i sigma_2) (x) I_k, for BHQ, which is
 a polynomial at odd N too.
 """
@@ -38,7 +38,8 @@ from .catalog import HALF_EDGE_BUDGET, enumerate_graphs, ribbon_classes
 from .errors import UsageError, VerificationError
 from .graphs import MoebiusGraph, _face_walks
 from .npoly import NPoly, add_term, mul_terms
-from .oracle import _UNITS, MomentQuery, eigenvalue_moment
+from .oracle import (CPoly, MomentQuery, _cpoly_prod, _cpoly_sum, _cpoly_vars,
+                     _gauss_expect_cpoly, _scaled, _unit_matrix, eigenvalue_moment)
 from .series import CouplingSeries, iter_monomials
 
 LambdaSeries = CouplingSeries  # monomials are multisets of tau_j indices
@@ -175,16 +176,6 @@ def _elementary_in_powersums(m: int) -> Tuple[Tuple[Tuple[int, ...], Fraction], 
     return tuple(total.items())
 
 
-def _expect_ppoly(poly: PPoly, beta: int, n: int, scale: Fraction) -> Fraction:
-    total = Fraction(0)
-    for key, coeff in poly.items():
-        if key:
-            total += coeff * eigenvalue_moment(MomentQuery(beta, n, key, scale))
-        else:
-            total += coeff
-    return total
-
-
 def _charpoly_matrix_side(beta: int, n_size: int, k: int, scale: Fraction
                           ) -> Dict[Tuple[int, ...], Fraction]:
     """E[prod_l det(lambda_l - X)] as {lambda exponent vector: coefficient}."""
@@ -192,7 +183,9 @@ def _charpoly_matrix_side(beta: int, n_size: int, k: int, scale: Fraction
 
     def rec(pos: int, exps: List[int], ppoly: PPoly, sign: int):
         if pos == k:
-            add_term(out, tuple(exps), _expect_ppoly(ppoly, beta, n_size, scale) * sign)
+            moment = sum((coeff * eigenvalue_moment(MomentQuery(beta, n_size, key, scale))
+                          for key, coeff in ppoly.items()), Fraction(0))
+            add_term(out, tuple(exps), moment * sign)
             return
         for m in range(n_size + 1):
             rec(pos + 1, exps + [n_size - m],
@@ -200,59 +193,6 @@ def _charpoly_matrix_side(beta: int, n_size: int, k: int, scale: Fraction
                 sign * (-1) ** m)
 
     rec(0, [], {(): Fraction(1)}, 1)
-    return out
-
-
-# complex polynomials in real Gaussian variables plus lambda symbols:
-# {exponent tuple: Fraction}.  Slot 0 is the power of i, left unreduced so
-# that products need only add exponents; the next k slots are the lambdas
-# and the rest the Gaussian variables.  i is reduced (i**2 = -1) only when
-# the Gaussian variables are integrated out.
-CPoly = Dict[Tuple[int, ...], Fraction]
-
-
-def _add_exps(e1: Tuple[int, ...], e2: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(x + y for x, y in zip(e1, e2))
-
-
-def _cpoly_vars(nslots: int) -> List[CPoly]:
-    """i and the variables: the monomials with a single exponent 1."""
-    return [{tuple(int(t == idx) for t in range(nslots)): Fraction(1)}
-            for idx in range(nslots)]
-
-
-def _cpoly_sum(*polys: CPoly) -> CPoly:
-    out: CPoly = {}
-    for poly in polys:
-        for key, coeff in poly.items():
-            add_term(out, key, coeff)
-    return out
-
-
-def _cpoly_prod(*polys: CPoly) -> CPoly:
-    out = polys[0]
-    for poly in polys[1:]:
-        out = mul_terms(out, poly, _add_exps)
-    return out
-
-
-def _gauss_expect_cpoly(poly: CPoly, k: int, variances: Sequence[Fraction]
-                        ) -> Dict[Tuple[int, ...], Fraction]:
-    """Integrate out the Gaussian variables; imaginary parts must cancel."""
-    out: Dict[Tuple[int, ...], Fraction] = {}
-    acc_im: Dict[Tuple[int, ...], Fraction] = {}
-    for exps, coeff in poly.items():
-        i_power, lam = exps[0], exps[1:k + 1]
-        weight = Fraction(1 if i_power % 4 < 2 else -1)  # i**i_power = weight or weight*i
-        for d, var in zip(exps[k + 1:], variances):
-            if d % 2:
-                break
-            m = d // 2
-            weight *= Fraction(factorial(d), factorial(m) * 2 ** m) * var ** m
-        else:
-            add_term(acc_im if i_power % 2 else out, lam, coeff * weight)
-    if acc_im:
-        raise VerificationError("dual-side expectation is not real", payload=acc_im)
     return out
 
 
@@ -274,51 +214,22 @@ def _pfaffian(a: List[List[CPoly]]) -> CPoly:
 def _dual_side(beta: int, n_size: int, k: int) -> Dict[Tuple[int, ...], Fraction]:
     """E[Hdet**N (Lambda - i Y)] over the k x k ensemble, beta = 2 or 4.
 
-    Y = sum_u U_u (x) B_u over the units of the Monte Carlo sampler: B_0 real
-    symmetric (diagonal variance 1/(2c), off-diagonal 1/(4c)), the other B_u
-    real antisymmetric (1/(4c)), c = N beta / 4; that is the weight
-    exp(-N/2 tr Y**2) at beta = 2 and exp(-N tr X**2) at beta = 4.  With
-    M = I_d (x) Lambda - i Y, Hdet M is (-1)**(k(k-1)/2) times
+    Y = sum_u U_u (x) B_u is oracle's exact unit matrix at c = N beta / 4,
+    the weight exp(-N/2 tr Y**2) at beta = 2 and exp(-N tr X**2) at beta = 4.
+    With M = I_d (x) Lambda - i Y, Hdet M is (-1)**(k(k-1)/2) times
     Pf [[0, M], [-M^T, 0]] = det M at beta = 2 and Pf(M J), J = (i sigma_2)
     (x) I_k, at beta = 4, where M^T = J M J^-1 makes M J antisymmetric.
     """
-    units = _UNITS[beta]
-    d = len(units[0])
-    n_gauss = k + len(units) * k * (k - 1) // 2
-    nslots = 1 + k + n_gauss
-    i_unit, *symbols = _cpoly_vars(nslots)
-    lam, gauss = symbols[:k], iter(symbols[k:])
-    c = Fraction(n_size * beta, 4)
-    variances = [1 / (2 * c)] * k + [1 / (4 * c)] * (n_gauss - k)
-
-    def scaled(z: complex, poly: CPoly) -> CPoly:  # z a Gaussian integer
-        unit = _cpoly_sum({(0,) * nslots: Fraction(int(z.real))},
-                          {key: Fraction(int(z.imag)) for key in i_unit})
-        return _cpoly_prod(unit, poly)
-
-    diagonal = [next(gauss) for _ in range(k)]
-    blocks = []
-    for u in range(len(units)):
-        b = [[diagonal[x] if u == 0 and x == y else {} for y in range(k)] for x in range(k)]
-        for x in range(k):
-            for y in range(x + 1, k):
-                b[x][y] = next(gauss)
-                b[y][x] = b[x][y] if u == 0 else scaled(-1, b[x][y])
-        blocks.append(b)
-
-    def entry(p: int, x: int, q: int, y: int) -> CPoly:
-        parts = [lam[x]] if (p, x) == (q, y) else []
-        return _cpoly_sum(*parts, *[scaled(-1j * unit[p][q], b[x][y])
-                                    for unit, b in zip(units, blocks) if unit[p][q] and b[x][y]])
-
-    m = [[entry(p, x, q, y) for q in range(d) for y in range(k)]
-         for p in range(d) for x in range(k)]
+    y_matrix, d, nslots, variances = _unit_matrix(beta, k, Fraction(n_size * beta, 4), k)
+    lam = _cpoly_vars(nslots)[1:k + 1]
+    m = [[_cpoly_sum(lam[r % k] if r == s else {}, _scaled(-1j, entry))
+          for s, entry in enumerate(row)] for r, row in enumerate(y_matrix)]
     if d == 1:  # [[0, M], [-M^T, 0]]
         a = ([[{}] * k + row for row in m]
-             + [[scaled(-1, m[y][x]) for y in range(k)] + [{}] * k for x in range(k)])
+             + [[_scaled(-1, m[y][x]) for y in range(k)] + [{}] * k for x in range(k)])
     else:  # M J: column (0, y) is -M[., (1, y)], column (1, y) is M[., (0, y)]
-        a = [[scaled(-1, row[k + y]) for y in range(k)] + row[:k] for row in m]
-    hdet = scaled((-1) ** (k * (k - 1) // 2), _pfaffian(a))
+        a = [[_scaled(-1, row[k + y]) for y in range(k)] + row[:k] for row in m]
+    hdet = _scaled((-1) ** (k * (k - 1) // 2), _pfaffian(a))
     return _gauss_expect_cpoly(_cpoly_prod(*[hdet] * n_size), k, variances)
 
 

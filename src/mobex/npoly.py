@@ -26,8 +26,9 @@ Coefficients only need ``+``, ``*`` and truth testing (``Fraction`` or
 * ``penner.ZSeries``: the z-exponent;
 * ``dualchar`` power-sum polynomials: the sorted tuple of power-sum indices,
   combined by a sorted merge;
-* ``dualchar`` complex polynomials: an exponent vector whose slot 0 is the
-  power of i, combined by adding exponents slot by slot.
+* ``oracle.CPoly``, the complex polynomials of the exact unit matrices (the
+  Wick moments and the ``dualchar`` dual side): an exponent vector whose
+  slot 0 is the power of i, combined by adding exponents slot by slot.
 """
 
 from __future__ import annotations

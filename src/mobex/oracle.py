@@ -1,4 +1,4 @@
-"""Independent verification of the graph sums via eigenvalue measures.
+"""Independent verification of the graph sums: eigenvalue moments and Wick sums.
 
 The eigenvalue density of an N x N ensemble is |Delta(x)|**beta times
 exp(-c sum x_i**2).  Integrating sum_i d/dx_i (x_i**k F density) = 0 by
@@ -12,8 +12,7 @@ gives the loop (Schwinger-Dyson) equations of the beta ensembles
 
 Each step lowers the degree by two, so one memoized recursion gives every
 moment exactly, as a polynomial in N, for beta = 1, 2 and 4 alike; it
-never touches a graph.  The entry-level Wick-pairing route
-(isserlis_trace_moment) is kept beside it for beta = 1.
+never touches a graph.
 
 oracle_logZ builds log Z from these moments as a series over Q[N] for
 every tag, with the scale s/4 and vertex factors s/(2j) of its strength s
@@ -22,12 +21,16 @@ coefficient polynomial by coefficient polynomial.  invariant's s = N beta
 carries N: its t-monomial with v vertices and e edges is the one at
 s = beta times N**(v-e).
 
-Monte Carlo estimation is a sanity layer only; acceptance never depends
-on it.  It follows the paper's one construction for the three ensembles: a
-self-adjoint matrix over the units {1}, {1, i} or {1, i, j, k} is
-X = sum_u U_u (x) B_u, with the units as d x d complex matrices (d = 1, 1,
-2), B_0 real symmetric and the other B_u real antisymmetric.  Batches of
-max(1, 2**12 // (dn)**2) such dn x dn matrices go through one eigvalsh each.
+The paper's one construction of the three ensembles: a self-adjoint
+matrix over the units {1}, {1, i} or {1, i, j, k} is X = sum_u U_u (x) B_u,
+with the units as d x d complex matrices (d = 1, 1, 2), B_0 real symmetric
+and the other B_u real antisymmetric.  _unit_matrix writes X once, exactly,
+over the entries of the B_u as Gaussian variables, in the complex
+polynomials (CPoly) whose algebra lives here.  wick_trace_moment integrates
+its traces by Isserlis's theorem, an entry-level route beside the loop
+equations at every beta, and dualchar's dual side takes its Y from the same
+builder.  Monte Carlo estimation draws X as floats; it is a sanity layer
+only, and acceptance never depends on it.
 """
 
 from __future__ import annotations
@@ -37,13 +40,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, isfinite
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from .errors import (HALF_EDGE_BUDGET, ORACLE_DEGREE_BUDGET, BudgetError, UsageError,
                      VerificationError)
-from .npoly import NPoly
-from .series import (_TAGS, CouplingSeries, _ensemble_beta, _monomial_count, expand_logZ,
-                     series_one, tag_monomials)
+from .npoly import NPoly, add_term, mul_terms
+
+if TYPE_CHECKING:
+    from .series import CouplingSeries
 
 
 @dataclass(frozen=True)
@@ -108,54 +112,122 @@ def eigenvalue_moment(query: MomentQuery) -> Fraction:
     return _loop_moment(query.beta, query.scale, powers).eval_N(query.n)
 
 
-# -- entry-level Isserlis oracle (beta = 1) -----------------------------------------
+# -- the paper's matrix X = sum_u U_u (x) B_u, exactly ----------------------------------
 
-def isserlis_trace_moment(n: int, powers: Sequence[int], c: Fraction) -> Fraction:
-    """E[prod_l tr S**{j_l}] from Wick pairings of matrix entries.
+# The d x d matrices of the units: {1} (real), {1, i} (complex) and
+# {1, i, j, k} as I_2, i sigma_1, i sigma_2, i sigma_3 (quaternionic).
+_UNITS = {1: [[[1]]],
+          2: [[[1]], [[1j]]],
+          4: [[[1, 0], [0, 1]], [[0, 1j], [1j, 0]], [[0, 1], [-1, 0]], [[1j, 0], [0, -1j]]]}
+
+# complex polynomials in real Gaussian variables plus lambda symbols:
+# {exponent tuple: Fraction}.  Slot 0 is the power of i, left unreduced so
+# that products need only add exponents; the next k slots are the lambdas
+# and the rest the Gaussian variables.  i is reduced (i**2 = -1) only when
+# the Gaussian variables are integrated out.
+CPoly = Dict[Tuple[int, ...], Fraction]
+
+
+def _add_exps(e1: Tuple[int, ...], e2: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(x + y for x, y in zip(e1, e2))
+
+
+def _cpoly_vars(nslots: int) -> List[CPoly]:
+    """i and the variables: the monomials with a single exponent 1."""
+    return [{tuple(int(t == idx) for t in range(nslots)): Fraction(1)}
+            for idx in range(nslots)]
+
+
+def _cpoly_sum(*polys: CPoly) -> CPoly:
+    out: CPoly = {}
+    for poly in polys:
+        for key, coeff in poly.items():
+            add_term(out, key, coeff)
+    return out
+
+
+def _scaled(z: complex, poly: CPoly) -> CPoly:
+    """z * poly for a Gaussian integer z; its imaginary part raises the power of i."""
+    unit = {(0,): Fraction(int(z.real)), (1,): Fraction(int(z.imag))}  # 0 terms drop out
+    return mul_terms(unit, poly, lambda step, key: (step[0] + key[0],) + key[1:])
+
+
+def _cpoly_prod(*polys: CPoly) -> CPoly:
+    out = polys[0]
+    for poly in polys[1:]:
+        out = mul_terms(out, poly, _add_exps)
+    return out
+
+
+def _gauss_expect_cpoly(poly: CPoly, k: int, variances: Sequence[Fraction]
+                        ) -> Dict[Tuple[int, ...], Fraction]:
+    """Integrate out the Gaussian variables; imaginary parts must cancel."""
+    out: Dict[Tuple[int, ...], Fraction] = {}
+    acc_im: Dict[Tuple[int, ...], Fraction] = {}
+    for exps, coeff in poly.items():
+        i_power, lam = exps[0], exps[1:k + 1]
+        weight = Fraction(1 if i_power % 4 < 2 else -1)  # i**i_power = weight or weight*i
+        for d, var in zip(exps[k + 1:], variances):
+            if d % 2:
+                break
+            m = d // 2
+            weight *= Fraction(factorial(d), factorial(m) * 2 ** m) * var ** m
+        else:
+            add_term(acc_im if i_power % 2 else out, lam, coeff * weight)
+    if acc_im:
+        raise VerificationError("Gaussian expectation is not real", payload=acc_im)
+    return out
+
+
+def _unit_matrix(beta: int, n: int, c: Fraction, n_lambdas: int = 0
+                 ) -> Tuple[List[List[CPoly]], int, int, List[Fraction]]:
+    """X = sum_u U_u (x) B_u as a dn x dn CPoly matrix over Gaussian variables.
+
+    B_0 is real symmetric, with variance 1/(2c) on the diagonal and 1/(4c)
+    off it; each other B_u is real antisymmetric, with variance 1/(4c): the
+    weight exp(-c tr X**2 / d).  Returns X, d, the slot count (i, then
+    ``n_lambdas`` lambda symbols, then the variables) and the variances.
+    """
+    units = _UNITS[beta]
+    d = len(units[0])
+    # one variable per free entry: B_0's diagonal, then each B_u's upper triangle
+    free = [(0, x, x) for x in range(n)] + [(u, x, y) for u in range(len(units))
+                                            for x in range(n) for y in range(x + 1, n)]
+    nslots = 1 + n_lambdas + len(free)
+    matrix: List[List[CPoly]] = [[{} for _ in range(d * n)] for _ in range(d * n)]
+    for (u, x, y), var in zip(free, _cpoly_vars(nslots)[1 + n_lambdas:]):
+        for r, s, sign in [(x, y, 1)] + ([] if x == y else [(y, x, -1 if u else 1)]):
+            for p, q in product(range(d), repeat=2):
+                entry = matrix[p * n + r][q * n + s]
+                for key, coeff in _scaled(sign * units[u][p][q], var).items():
+                    add_term(entry, key, coeff)
+    variances = [1 / (2 * c) if x == y else 1 / (4 * c) for _, x, y in free]
+    return matrix, d, nslots, variances
+
+
+def wick_trace_moment(beta: int, n: int, powers: Sequence[int], scale: Fraction) -> Fraction:
+    """E[prod_l tr X**{j_l} / d] from the Gaussian entries of X, exactly.
 
     A deliberate independent route, kept beside the loop-equation
-    eigenvalue route for the GOE moments tests: it uses the symmetric
-    propagator <S_ab S_cd> = (delta_ac delta_bd + delta_ad delta_bc) / (4c)
-    and never diagonalizes.
+    eigenvalue route for the moment tests at beta = 1, 2 and 4: it never
+    diagonalizes.  X is _unit_matrix's, the matrix the Monte Carlo sampler
+    draws; tr X**j is taken by repeated matrix products of polynomials in
+    its entries, and Isserlis's theorem integrates the product of traces.
+    tr / d is the trace over the units, sum lambda**j over the eigenvalues.
     """
-    m2 = sum(powers)
-    if m2 % 2:
-        return Fraction(0)
-    cov_unit = Fraction(1, 4 * c)
-
-    pairings: List[List[Tuple[int, int]]] = []
-
-    def build(slots: List[int], acc: List[Tuple[int, int]]):
-        if not slots:
-            pairings.append(list(acc))
-            return
-        a = slots[0]
-        for i in range(1, len(slots)):
-            acc.append((a, slots[i]))
-            build(slots[1:i] + slots[i + 1:], acc)
-            acc.pop()
-
-    build(list(range(m2)), [])
-
-    total = Fraction(0)
-    ranges = [list(product(range(n), repeat=j)) for j in powers]
-    for tuples in product(*ranges):
-        entries: List[Tuple[int, int]] = []
-        for j, tup in zip(powers, tuples):
-            for pos in range(j):
-                entries.append((tup[pos], tup[(pos + 1) % j]))
-        for pairing in pairings:
-            prod_val = 1
-            for x, y in pairing:
-                (a, b), (cc, d) = entries[x], entries[y]
-                v = (a == cc and b == d) + (a == d and b == cc)
-                if not v:
-                    prod_val = 0
-                    break
-                prod_val *= v
-            if prod_val:
-                total += prod_val
-    return total * cov_unit ** (m2 // 2)
+    query = MomentQuery(beta, n, tuple(powers), scale)
+    x, d, nslots, variances = _unit_matrix(beta, n, Fraction(query.scale))
+    dn = range(len(x))
+    integrand = one = {(0,) * nslots: Fraction(1)}
+    for j in query.powers:
+        power = [[one if r == t else {} for t in dn] for r in dn]  # X**0
+        for _ in range(j - 1):
+            power = [[_cpoly_sum(*[_cpoly_prod(power[r][s], x[s][t]) for s in dn]) for t in dn]
+                     for r in dn]
+        trace = _cpoly_sum(*[_cpoly_prod(power[r][s], x[s][r]) for r in dn for s in dn])
+        integrand = _cpoly_prod(integrand, trace)
+    moment = _gauss_expect_cpoly(integrand, 0, variances).get((), Fraction(0))
+    return moment / d ** len(query.powers)
 
 
 # -- graph sum vs oracle --------------------------------------------------------------
@@ -163,6 +235,7 @@ def isserlis_trace_moment(n: int, powers: Sequence[int], c: Fraction) -> Fractio
 def oracle_logZ(beta: int, tag: str, degree: int,
                 budget: int = ORACLE_DEGREE_BUDGET) -> CouplingSeries:
     """log Z as a t-series over Q[N], from the loop-equation moments."""
+    from .series import _TAGS, _ensemble_beta, _monomial_count, series_one, tag_monomials
     measure_beta, row = _ensemble_beta(tag, beta), _TAGS[tag]
     if degree > budget:
         count = _monomial_count(degree, row.dropped)
@@ -170,7 +243,7 @@ def oracle_logZ(beta: int, tag: str, degree: int,
             "degree %d exceeds oracle budget %d: it would compute %s eigenvalue moments,"
             " one per coupling monomial of tag %r"
             % (degree, budget, "over 10^30" if count is None else count, tag))
-    strength = measure_beta if row.strength is None else row.strength
+    strength = row.strength_at(measure_beta)
 
     z = series_one(degree)
     for monomial in tag_monomials(tag, degree):
@@ -199,6 +272,7 @@ def oracle_compare(beta: int, tag: str, degree: int, sizes: Sequence[int],
     beta and the degree budget, which must fail before the graph side pays
     for its catalog.
     """
+    from .series import _TAGS, expand_logZ
     oracle_side = oracle_logZ(beta, tag, degree, budget)
     if not sizes or min(sizes) < 1:
         raise UsageError("matrix sizes must be >= 1, got %s" % list(sizes))
@@ -222,21 +296,12 @@ def oracle_compare(beta: int, tag: str, degree: int, sizes: Sequence[int],
 
 # -- Monte Carlo sanity layer ----------------------------------------------------------
 
-# The d x d matrices of the units: {1} (real), {1, i} (complex) and
-# {1, i, j, k} as I_2, i sigma_1, i sigma_2, i sigma_3 (quaternionic).
-_UNITS = {1: [[[1]]],
-          2: [[[1]], [[1j]]],
-          4: [[[1, 0], [0, 1]], [[0, 1j], [1j, 0]], [[0, 1], [-1, 0]], [[1j, 0], [0, -1j]]]}
-
-
 def mc_estimate(beta: int, n: int, powers: Sequence[int], samples: int, seed: int,
                 scale: Fraction = Fraction(1, 4)) -> Tuple[float, float]:
     """Sample mean and standard error of prod_l tr X**{j_l}.
 
-    X = sum_u U_u (x) B_u is the dn x dn complex form of a self-adjoint
-    matrix over the units U_u: B_0 is real symmetric (off-diagonal
-    N(0, 1/(4c)), diagonal N(0, 1/(2c))), each other B_u real antisymmetric
-    (N(0, 1/(4c))).  tr X**j / d, the trace over the units, is
+    X = sum_u U_u (x) B_u is _unit_matrix's, with its entries drawn at that
+    function's variances.  tr X**j / d, the trace over the units, is
     sum lambda**j / d over the eigenvalues of X.  Samples are drawn in
     batches of max(1, 2**12 // (dn)**2) matrices, so memory does not grow
     with ``samples``; larger batches raise the peak RSS and gain little.

@@ -186,11 +186,19 @@ def iter_monomials(degree: int, allowed: Optional[Callable[[int], bool]] = None
 
 @dataclass(frozen=True)
 class _Tag:
-    """One normalization as data: a row of the module docstring's table."""
+    """One normalization as data: a row of the module docstring's table.
+
+    strength_at(b) is s at the measure's b, less a symbolic row's factor N,
+    which the class weight writes as N * s and the eigenvalue oracle as
+    N**(v - e) on each monomial of v vertices and e edges.
+    """
     beta: Optional[int]  # the beta the tag fixes; None: the caller's, 1, 2 or 4
     dropped: FrozenSet[int]  # the couplings t_j its expansion leaves out
     strength: Optional[int]  # s: Gaussian scale s/4, vertex factors s/(2j); None: s = beta
     symbolic: bool  # symbolic in r at beta = 2 r**2, read at no beta; s carries a factor N
+
+    def strength_at(self, b):
+        return b if self.strength is None else self.strength
 
 
 _TAGS = {
@@ -207,7 +215,7 @@ def _weight(tag: str, beta: Optional[int], f: int, chi: int, sigma: int) -> NPol
     """A class's weight mu_b * s**(chi - f) * N**f in a tag, from its surface data."""
     row = _TAGS[tag]
     b = NPoly.root(2, 2) if row.symbolic else beta
-    s = NPoly.N(1 if row.symbolic else 0) * (b if row.strength is None else row.strength)
+    s = NPoly.N(1 if row.symbolic else 0) * row.strength_at(b)
     return NPoly.N(f) * _mu_closed(b, f, chi, sigma) * s ** (chi - f)
 
 

@@ -314,7 +314,7 @@ def test_oracle_over_degree_budget_skips_the_graph_side(monkeypatch, capsys):
     def no_graph_side(*args, **kwargs):
         raise AssertionError("the graph side was built before the budget check")
 
-    monkeypatch.setattr(oracle, "expand_logZ", no_graph_side)
+    monkeypatch.setattr(series, "expand_logZ", no_graph_side)
     code, out, err = run_cli(capsys, "oracle", "--beta", "1", "--n", "2", "--max-degree", "10")
     assert code == cli.EXIT_BUDGET and out == ""
     lines = err.splitlines()

@@ -4,11 +4,12 @@ import pytest
 
 from mobex import dualchar
 from mobex.catalog import canonical_code, enumerate_graphs
-from mobex.dualchar import (_gauss_expect_cpoly, _merge, charpoly_lhs, charpoly_rhs,
-                            charpoly_sides_by_edges, poincare_dual, verify_polynomial_identity)
+from mobex.dualchar import (_merge, charpoly_lhs, charpoly_rhs, charpoly_sides_by_edges,
+                            poincare_dual, verify_polynomial_identity)
 from mobex.errors import UsageError, VerificationError
 from mobex.graphs import MoebiusGraph, topology
 from mobex.npoly import mul_terms
+from mobex.oracle import _gauss_expect_cpoly
 
 
 def all_profiles(e_max):

@@ -4,11 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from mobex import oracle
+from mobex import series
 from mobex.errors import BudgetError, UsageError
 from mobex.npoly import NPoly
-from mobex.oracle import (MomentQuery, eigenvalue_moment, isserlis_trace_moment, mc_estimate,
-                          oracle_compare, oracle_logZ)
+from mobex.oracle import (MomentQuery, eigenvalue_moment, mc_estimate, oracle_compare,
+                          oracle_logZ, wick_trace_moment)
 from mobex.series import expand_logZ, tag_monomials
 
 GOLDEN_MOMENTS = Path(__file__).with_name("golden_eigenvalue_moments.json")
@@ -67,23 +67,36 @@ def test_loop_equation_logZ_is_the_graph_sum_in_N(tag, beta):
     assert oracle_logZ(beta, tag, 8) == graph_side
 
 
-def test_two_independent_goe_oracles_agree():
-    # loop-equation eigenvalue route vs entry-level Wick pairing
-    for n in (1, 2, 3, 4):
-        for powers in ((2,), (1, 1), (4,), (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1),
-                       (6,), (3, 3), (2, 2, 2)):
-            a = eigenvalue_moment(MomentQuery(1, n, powers, QUARTER))
-            b = isserlis_trace_moment(n, powers, QUARTER)
-            assert a == b, (n, powers)
+def test_two_independent_oracles_agree():
+    # loop-equation eigenvalue route vs entry-level Wick pairing, at every beta; this
+    # holds beta in {1, 2, 4} x n <= 3 x (2), (4), (2,2), (1,3), (6), (3,3), (2,4), (2,2,2)
+    # but one case: beta = 4, n = 3, (6,) alone takes about as long as all the rest (~1 s)
+    powers_list = ((2,), (1, 1), (4,), (2, 2), (1, 3), (2, 1, 1), (1, 1, 1, 1),
+                   (6,), (3, 3), (2, 4), (2, 2, 2))
+    for beta, sizes in ((1, (1, 2, 3, 4)), (2, (1, 2, 3)), (4, (1, 2, 3))):
+        for n in sizes:
+            for powers in powers_list:
+                if (beta, n, powers) == (4, 3, (6,)):
+                    continue
+                a = eigenvalue_moment(MomentQuery(beta, n, powers, QUARTER))
+                b = wick_trace_moment(beta, n, powers, QUARTER)
+                assert a == b, (beta, n, powers)
 
 
 def test_goe_fourth_moments_match_wick():
     # frozen from the entry-level pairing oracle at n = 3, c = 1/4
     # (matches 2N**3 + 5N**2 + 5N at N = 3)
-    assert isserlis_trace_moment(3, (4,), QUARTER) == 114
+    assert wick_trace_moment(1, 3, (4,), QUARTER) == 114
     assert eigenvalue_moment(MomentQuery(1, 3, (4,), QUARTER)) == 114
     assert eigenvalue_moment(MomentQuery(1, 3, (2, 2), QUARTER)) == 192
-    assert isserlis_trace_moment(3, (2, 2), QUARTER) == 192
+    assert wick_trace_moment(1, 3, (2, 2), QUARTER) == 192
+
+
+def test_wick_trace_moment_refuses_what_the_query_refuses():
+    for beta, n, powers, scale in ((3, 2, (2,), QUARTER), (1, 0, (2,), QUARTER),
+                                   (1, 2, (0,), QUARTER), (1, 2, (2,), Fraction(0))):
+        with pytest.raises(UsageError):
+            wick_trace_moment(beta, n, powers, scale)
 
 
 def test_query_validation():
@@ -115,7 +128,7 @@ def test_oracle_compare_refuses_sizes_below_one(monkeypatch):
         raise AssertionError("the graph side was built before the size check")
 
     # at every degree (no degree-1 monomial reaches a moment); the degree budget comes first
-    monkeypatch.setattr(oracle, "expand_logZ", no_graph_side)
+    monkeypatch.setattr(series, "expand_logZ", no_graph_side)
     for sizes in ([], [0], [2, -1]):
         with pytest.raises(UsageError, match="matrix sizes must be >= 1"):
             oracle_compare(1, "master", 1, sizes)
@@ -132,7 +145,7 @@ def test_budget_guard(monkeypatch):
     def no_graph_side(*args, **kwargs):
         raise AssertionError("the graph side was built before the budget check")
 
-    monkeypatch.setattr(oracle, "expand_logZ", no_graph_side)
+    monkeypatch.setattr(series, "expand_logZ", no_graph_side)
     with pytest.raises(BudgetError, match="degree 10 exceeds oracle budget 8"):
         oracle_compare(1, "master", 10, [2], budget=8)
 

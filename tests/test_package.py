@@ -22,8 +22,8 @@ EXPORTS = {
     "sprinkle": ["MuReport", "UnitAlgebra", "calibrate_irreducibles", "mu_bruteforce",
                  "mu_closed_form", "mu_report"],
     "series": ["CouplingSeries", "apply_duality", "expand_logZ", "expand_Z"],
-    "oracle": ["MomentQuery", "OracleReport", "eigenvalue_moment", "isserlis_trace_moment",
-               "mc_estimate", "oracle_compare"],
+    "oracle": ["MomentQuery", "OracleReport", "eigenvalue_moment", "mc_estimate",
+               "oracle_compare", "wick_trace_moment"],
     "penner": ["ZSeries", "I_series", "J_series", "K1_series", "K2_series", "K_series",
                "bernoulli", "penner_substitute", "real_moduli_euler", "real_moduli_graph_sum"],
     "dualchar": ["charpoly_lhs", "charpoly_rhs", "poincare_dual", "verify_polynomial_identity"],
@@ -74,10 +74,15 @@ CATALOG = BASE + ["mobex.catalog", "mobex.graphs", "mobex.npoly"]
     (["expand", "--beta", "1", "--max-degree", "4"],
      CATALOG + ["mobex.parallel", "mobex.series", "mobex.sprinkle"]),
     (["penner", "--order", "3"], BASE + ["mobex.npoly", "mobex.penner"]),
-], ids=["import", "graphs", "expand", "penner"])
+    (["oracle", "mc", "--beta", "1", "--n", "2", "--powers", "2", "--samples", "100"],
+     BASE + ["mobex.npoly", "mobex.oracle"]),
+], ids=["import", "graphs", "expand", "penner", "oracle-mc"])
 def test_cli_loads_only_the_layers_it_runs(argv, loaded):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(argv)], env=env,
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert json.loads(proc.stdout) == sorted(loaded)
+    names = json.loads(proc.stdout)
+    if argv[:2] == ["oracle", "mc"]:  # the sampler loads numpy, whose submodules vary
+        names = [name for name in names if name.split(".")[0] == "mobex"]
+    assert names == sorted(loaded)
