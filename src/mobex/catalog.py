@@ -23,7 +23,18 @@ its canonical code is itself such a stream and is the only one of its
 streams that survives the competition.  The walk keeps the arrays of the
 graph a stream encodes live, so each stream is tested in place: the flag
 that emitted it ties without a traversal, and every other flag stops at
-its first token that differs from the stream.  The Moebius catalog walks
+its first token that differs from the stream.  Two rules settle most
+competitions from O(1) reads of those arrays, before any traversal.
+Rule 1, in the walk: a placed edge fixes the first token of each
+maximal-valence flag at its ends (-valence for a partner on another
+vertex, (rotation distance << 1) | twist for a loop), and a token below
+the stream's own first token cuts the branch.  Rule 2, in the canonicity
+test: each flag's first two tokens are read from the arrays; a larger
+one drops the flag, a smaller one rejects the stream, and only a tie is
+traversed.  Both are exact, since streams are compared token by token
+and the first differing token decides, and a flag's first token never
+changes once its edge is placed.  Full mode (``canonical_code``,
+``automorphism_count``) uses neither.  The Moebius catalog walks
 twisted streams under the full competition, the ribbon catalog untwisted
 streams under the positive-flag one.  The labelled pairing sum (both
 modes) counts every labelled gluing on one depth-first gluing tree, where
@@ -39,11 +50,10 @@ routes the catalogs are checked against.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lgamma, log, log10, prod
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import HALF_EDGE_BUDGET, BudgetError, StructuralError, UsageError, figure
 from .graphs import MoebiusGraph, TopologyProfile, flip_vertex, topology
@@ -78,8 +88,7 @@ def profile_key(profile) -> ProfileKey:
     return tuple(j for j, count in profile_dict(profile).items() for _ in range(count))
 
 
-@dataclass(frozen=True)
-class GraphCatalogEntry:
+class GraphCatalogEntry(NamedTuple):
     graph: MoebiusGraph
     code: bytes
     aut_moebius: int
@@ -152,6 +161,41 @@ def _traverse(h0, d0, valences, succ, pred, vertex_of, partner, edge_of, twists,
     return (0, None) if out is None else (-1, out)
 
 
+def _head_sign(h0, d0, valences, succ, pred, vertex_of, partner, edge_of, twists,
+               best) -> int:
+    """Sign of the first two tokens of the flag (h0, d0) against best[1:3].
+
+    Read from the arrays without a traversal: token 1 is -valence for a
+    partner on another vertex u, or (rotation distance << 1) | twist for a
+    loop; token 2 comes from the next half-edge around h0, whose partner
+    sits on h0's vertex, on u (labelled from partner[h0] on, in u's
+    direction) or on an unlabelled vertex.  Rotation distance is read as
+    (p - h) mod w, which holds only on block layouts, where each vertex
+    holds consecutive half-edges in rotation order: the layouts of the
+    walk in ``_orderly`` and of ``_graph_from_stream``.  With maximal
+    valence 1 the second token is not read (0: a tie).
+    """
+    v = vertex_of[h0]
+    w = valences[v]
+    p = partner[h0]
+    t = twists[edge_of[h0]]
+    u = vertex_of[p]
+    tok = -valences[u] if u != v else (((h0 - p if d0 else p - h0) % w) << 1) | t
+    if tok != best[1] or w == 1:
+        return (tok > best[1]) - (tok < best[1])
+    h1 = pred[h0] if d0 else succ[h0]
+    p1 = partner[h1]
+    t1 = twists[edge_of[h1]]
+    u1 = vertex_of[p1]
+    if u1 == v:
+        tok = (((h0 - p1 if d0 else p1 - h0) % w) << 1) | t1
+    elif u1 == u:  # u is labelled w, w + 1, ... from p on, in direction d0 ^ t
+        tok = ((w + (p - p1 if d0 ^ t else p1 - p) % valences[u]) << 1) | (t1 ^ t)
+    else:
+        tok = -valences[u1]
+    return (tok > best[2]) - (tok < best[2])
+
+
 def _canon(valences, succ, pred, vertex_of, partner, edge_of, twists,
            directions=(0, 1), best=None):
     """Canonical stream plus flag counts (all flags / positive flags).
@@ -161,9 +205,15 @@ def _canon(valences, succ, pred, vertex_of, partner, edge_of, twists,
     ribbon (flip-free) competition.  Full mode (no ``best``) returns the
     minimal stream.  Given the stream ``best`` that flag (0, 0) emits, the
     competition is a canonicity test: that flag is counted as a tie
-    without a traversal, every other flag stops at its first token that
-    differs from ``best``, and the test returns None as soon as a flag
-    beats the candidate.
+    without a traversal, and the test returns None as soon as a flag
+    beats the candidate.  Every other flag first compares its first two
+    tokens, read from the arrays by ``_head_sign`` (rule 2): a larger one
+    drops the flag and a smaller one rejects the candidate at once, both
+    exact because a stream that differs first at a token is ordered by
+    that token.  Only a tie is traversed, stopping at its first token that
+    differs from ``best``.  Candidate mode reads rotation distances as
+    (p - h) mod w, so it runs only on block layouts (``_orderly``,
+    ``_graph_from_stream``); full mode takes any layout.
     """
     candidate = best is not None
     n = len(partner)
@@ -173,8 +223,15 @@ def _canon(valences, succ, pred, vertex_of, partner, edge_of, twists,
         if valences[vertex_of[h0]] != maxval:
             continue
         for d0 in directions:
-            if candidate and h0 == 0 and d0 == 0:
-                continue
+            if candidate:
+                if h0 == 0 and d0 == 0:
+                    continue
+                sign = _head_sign(h0, d0, valences, succ, pred, vertex_of, partner,
+                                  edge_of, twists, best)
+                if sign > 0:
+                    continue
+                if sign < 0:
+                    return None
             sign, stream = _traverse(h0, d0, valences, succ, pred, vertex_of,
                                      partner, edge_of, twists, best, candidate)
             if sign > 0:
@@ -368,8 +425,22 @@ def _orderly(key: ProfileKey, directions: Tuple[int, ...]
     index, tree edges untwisted) live as it places vertices and edges, so
     each complete stream is tested on them in place, where flag (0, 0)
     emits it.
+
+    Rule 1 cuts a branch once it cannot win: each placed edge fixes the
+    first token of every maximal-valence flag at its two ends, -w for a
+    partner on another vertex of valence w, or (d << 1) | eff for a loop
+    whose ends lie d apart around the vertex in the flag's direction.  The
+    smallest such d is the shorter arc between the ends, which the
+    positive flags at the two ends already read, so the ribbon competition
+    cuts on the same token.  Every start flag emits stream[0], so a token
+    below stream[1] makes its flag beat every completion of the branch,
+    and the walk skips them all.  The cut is exact: the token depends only
+    on the edge and the valences at its ends, which later steps never
+    change, and a stream that no cut removes still faces the whole
+    canonicity test.
     """
     n = sum(key)
+    top = key[0]
     left = Counter(key[1:])
     stream = [-key[0]]
     owed: List[Optional[int]] = [None] * n
@@ -391,6 +462,16 @@ def _orderly(key: ProfileKey, directions: Tuple[int, ...]
             succ[base + k] = base + (k + 1) % w
             pred[base + k] = base + (k - 1) % w
 
+    def beaten(a: int, b: int, eff: int) -> bool:
+        """Rule 1: a maximal-valence flag at an end of the edge (a, b) just
+        placed emits a first token below stream[1], so every completion loses."""
+        va, vb = vertex_of[a], vertex_of[b]
+        if va == vb:  # a loop, a < b on one block: the shorter arc between its ends
+            w = valences[va]
+            return w == top and (min(b - a, a - b + w) << 1 | eff) < stream[1]
+        return ((valences[va] == top and -valences[vb] < stream[1])
+                or (valences[vb] == top and -valences[va] < stream[1]))
+
     def walk(i: int, labelled: int) -> None:
         mark = len(stream)
         while i < n and owed[i] is not None:
@@ -410,7 +491,8 @@ def _orderly(key: ProfileKey, directions: Tuple[int, ...]
                     twists[i] = twists[labelled] = 0
                     owed[labelled] = i << 1
                     stream.append(-w)
-                    walk(i + 1, labelled + w)
+                    if not beaten(i, labelled, 0):
+                        walk(i + 1, labelled + w)
                     stream.pop()
                     owed[labelled] = None
                     valences.pop()
@@ -422,7 +504,8 @@ def _orderly(key: ProfileKey, directions: Tuple[int, ...]
                         twists[i] = twists[j] = eff
                         owed[j] = (i << 1) | eff
                         stream.append((j << 1) | eff)
-                        walk(i + 1, labelled)
+                        if not beaten(i, j, eff):
+                            walk(i + 1, labelled)
                         stream.pop()
                     owed[j] = None
         del stream[mark:]

@@ -13,7 +13,6 @@ layers it runs when it runs, so a process pays to load only those.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -134,8 +133,8 @@ def _jsonable(obj):
             return obj
         if isinstance(obj, bytes):
             return obj.decode(errors="replace")
-        if dataclasses.is_dataclass(obj):
-            obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        if isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a NamedTuple record
+            obj = obj._asdict()
         if isinstance(obj, dict):
             pairs = [(_jsonable(k), _jsonable(v)) for k, v in obj.items()]
             return {k if isinstance(k, str) else json.dumps(k): v for k, v in pairs}
@@ -352,7 +351,8 @@ def _cmd_duality(args: argparse.Namespace) -> None:
 
 # the options several parsers share: flag -> add_argument keywords
 _SHARED = {"--format": {"choices": ["json", "table", "csv"], "default": "json"},
-           "--threads": {"type": int, "default": 1},
+           "--threads": {"type": int, "default": 1, "metavar": "K",
+                         "help": "at most K worker processes; small expansions use one"},
            "--half-edge-budget": {"type": int},
            "--mu-budget": {"type": int},
            "--oracle-budget": {"type": int}}

@@ -10,9 +10,8 @@ quadratic form for GOE, GUE and GSE up to the overall alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .catalog import HALF_EDGE_BUDGET, _budgeted_key, ribbon_classes
 from .errors import UsageError, VerificationError
@@ -22,8 +21,7 @@ from .series import CouplingSeries, expand_logZ
 ALPHAS = (Fraction(1, 2), Fraction(1), Fraction(2))
 
 
-@dataclass(frozen=True)
-class CLTResult:
+class CLTResult(NamedTuple):
     alpha: Fraction
     quadratic_form: Tuple[Tuple[Tuple[int, int], Fraction], ...]
 
@@ -60,8 +58,7 @@ def clt_limit(alpha, j_max: int,
     return CLTResult(alpha=alpha, quadratic_form=tuple(sorted(form.items())))
 
 
-@dataclass(frozen=True)
-class CLTReport:
+class CLTReport(NamedTuple):
     alpha: Fraction
     j_max: int
     degree: int

@@ -28,11 +28,10 @@ a polynomial at odd N too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .catalog import HALF_EDGE_BUDGET, enumerate_graphs, ribbon_classes
 from .errors import UsageError, VerificationError
@@ -233,8 +232,7 @@ def _dual_side(beta: int, n_size: int, k: int) -> Dict[Tuple[int, ...], Fraction
     return _gauss_expect_cpoly(_cpoly_prod(*[hdet] * n_size), k, variances)
 
 
-@dataclass(frozen=True)
-class CharpolyReport:
+class CharpolyReport(NamedTuple):
     which: str
     n: int
     k: int

@@ -17,8 +17,7 @@ equivalent; this one is pinned by the calibration examples in the tests
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import StructuralError
 
@@ -124,8 +123,7 @@ class MoebiusGraph:
         return "MoebiusGraph(%r, %r, %r)" % (self.rotations, self.edges, self.twists)
 
 
-@dataclass(frozen=True)
-class TopologyProfile:
+class TopologyProfile(NamedTuple):
     v: int
     e: int
     f: int

@@ -35,12 +35,11 @@ only, and acceptance never depends on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, isfinite
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import (HALF_EDGE_BUDGET, ORACLE_DEGREE_BUDGET, BudgetError, UsageError,
                      VerificationError)
@@ -50,26 +49,37 @@ if TYPE_CHECKING:
     from .series import CouplingSeries
 
 
-@dataclass(frozen=True)
 class MomentQuery:
-    beta: int
-    n: int
-    powers: Tuple[int, ...]
-    scale: Fraction  # Gaussian weight exp(-scale * sum k_i**2)
+    __slots__ = ("beta", "n", "powers", "scale")
 
-    def __post_init__(self):
-        if self.beta not in (1, 2, 4):
+    def __init__(self, beta: int, n: int, powers: Tuple[int, ...], scale: Fraction):
+        """``scale``: Gaussian weight exp(-scale * sum k_i**2)."""
+        if beta not in (1, 2, 4):
             raise UsageError("beta must be 1, 2 or 4")
-        if self.n < 1:
+        if n < 1:
             raise UsageError("matrix size must be >= 1")
-        if any(j < 1 for j in self.powers):
+        if any(j < 1 for j in powers):
             raise UsageError("powers must be >= 1")
-        if self.scale <= 0:
+        if scale <= 0:
             raise UsageError("Gaussian scale must be positive")
+        self.beta, self.n, self.powers, self.scale = beta, n, powers, scale
+
+    def _key(self) -> tuple:
+        return self.beta, self.n, self.powers, self.scale
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not MomentQuery:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "MomentQuery(beta=%r, n=%r, powers=%r, scale=%r)" % self._key()
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     beta: int
     n: int
     tag: str

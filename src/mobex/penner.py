@@ -14,11 +14,10 @@ satisfies the extended duality I(z, N, r) = I(z, -rN, 1/r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional
 
 from .errors import HALF_EDGE_BUDGET, StructuralError, UsageError
 from .npoly import NPoly, add_term
@@ -46,10 +45,15 @@ def bernoulli(n: int) -> Fraction:
 
 # -- z-series over Q[N] ----------------------------------------------------------
 
-@dataclass
 class ZSeries:
-    order: int
-    coeffs: Dict[int, NPoly] = field(default_factory=dict)
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs: Optional[Dict[int, NPoly]] = None):
+        self.order = order
+        self.coeffs = {} if coeffs is None else coeffs
+
+    def __repr__(self) -> str:
+        return "ZSeries(order=%r, coeffs=%r)" % (self.order, self.coeffs)
 
     def add_term(self, z_exp: int, value: NPoly) -> None:
         if z_exp < 1 or z_exp > self.order:

@@ -32,10 +32,9 @@ once per process and shared by every tag and call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 from .catalog import HALF_EDGE_BUDGET, enumerate_graphs
 from .errors import BudgetError, UsageError
@@ -46,10 +45,15 @@ from .sprinkle import _mu_closed
 Monomial = Tuple[int, ...]
 
 
-@dataclass
 class CouplingSeries:
-    degree: int
-    terms: Dict[Monomial, NPoly] = field(default_factory=dict)
+    __slots__ = ("degree", "terms")
+
+    def __init__(self, degree: int, terms: Optional[Dict[Monomial, NPoly]] = None):
+        self.degree = degree
+        self.terms = {} if terms is None else terms
+
+    def __repr__(self) -> str:
+        return "CouplingSeries(degree=%r, terms=%r)" % (self.degree, self.terms)
 
     def copy(self) -> "CouplingSeries":
         return CouplingSeries(self.degree, dict(self.terms))
@@ -184,8 +188,7 @@ def iter_monomials(degree: int, allowed: Optional[Callable[[int], bool]] = None
 
 # -- normalization tags ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Tag:
+class _Tag(NamedTuple):
     """One normalization as data: a row of the module docstring's table.
 
     strength_at(b) is s at the measure's b, less a symbolic row's factor N,
@@ -300,14 +303,22 @@ def _connected_sum(args) -> NPoly:
     return total
 
 
+# Expansions needing fewer half-edges are summed serially, whatever the thread
+# count: their catalogs cost less than forking a pool.  A cold
+# `expand --tag invariant` at degree 8 reads 0.14 s wall serially and 0.17 s
+# at two workers; at degree 10, 0.54 s and 0.40 s (2-vCPU VM).
+_POOL_HALF_EDGES = 10
+
+
 def expand_logZ(tag: str, degree: int, beta: Optional[int] = None,
                 include_t1: bool = True, include_t2: bool = True,
                 half_edge_budget: int = HALF_EDGE_BUDGET,
                 threads: int = 1) -> CouplingSeries:
     """Connected Moebius-graph sum for log Z in the chosen normalization.
 
-    Monomials are summed by ``threads`` workers; the result never depends
-    on their number.
+    Monomials are summed by at most ``threads`` workers, and by one below
+    ``_POOL_HALF_EDGES`` half-edges; the result never depends on their
+    number.
     """
     if threads < 1:
         raise UsageError("threads must be >= 1, got %d" % threads)
@@ -323,8 +334,8 @@ def expand_logZ(tag: str, degree: int, beta: Optional[int] = None,
                           % (degree, needed, half_edge_budget,
                              "over 10^30" if count is None else count, tag))
     monomials = tag_monomials(tag, degree, include_t1, include_t2)
-    totals = pmap(_connected_sum,
-                  [(m, tag, beta, half_edge_budget) for m in monomials], threads)
+    totals = pmap(_connected_sum, [(m, tag, beta, half_edge_budget) for m in monomials],
+                  threads if needed >= _POOL_HALF_EDGES else 1)
     return CouplingSeries(degree, {m: t for m, t in zip(monomials, totals) if t})
 
 

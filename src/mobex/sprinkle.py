@@ -24,9 +24,8 @@ series also evaluate it at b = 2 r**2 for the invariant normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log10
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
 from .errors import MU_ASSIGNMENT_BUDGET, BudgetError, StructuralError, UsageError, figure
 from .graphs import MoebiusGraph, TopologyProfile, topology
@@ -62,14 +61,25 @@ def _build_table() -> None:
 _build_table()
 
 
-@dataclass(frozen=True)
 class UnitAlgebra:
     """Unit set for one ensemble: indices 0..beta-1, index 0 real."""
-    beta: int
+    __slots__ = ("beta",)
 
-    def __post_init__(self):
-        if self.beta not in (1, 2, 4):
+    def __init__(self, beta: int):
+        if beta not in (1, 2, 4):
             raise UsageError("beta must be 1, 2 or 4")
+        self.beta = beta
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not UnitAlgebra:
+            return NotImplemented
+        return self.beta == other.beta
+
+    def __hash__(self):
+        return hash((self.beta,))
+
+    def __repr__(self) -> str:
+        return "UnitAlgebra(beta=%r)" % (self.beta,)
 
     def multiply(self, a: int, b: int) -> int:
         """Product of signed units encoded as idx + 4*negbit."""
@@ -81,8 +91,7 @@ class UnitAlgebra:
         return a
 
 
-@dataclass(frozen=True)
-class MuReport:
+class MuReport(NamedTuple):
     graph_id: str
     beta: int
     mu_bruteforce: int

@@ -243,8 +243,9 @@ def test_first_edge_orbits_partition_the_first_choices():
 def test_pairing_sum_matches_catalog():
     # exact per-profile certificate: a class missing from the catalog would
     # leave a strictly positive gap (all weights are positive)
-    profiles = list(all_profiles(4)) + [(10,), (4, 3, 3), (2, 2, 3, 3), (5, 3, 1, 1),
-                                        (4, 4, 4), (3, 3, 3, 3)]
+    # every profile of up to 10 half-edges, where the walk's first-token
+    # cuts remove the most streams, and two of 12
+    profiles = list(all_profiles(5)) + [(4, 4, 4), (3, 3, 3, 3)]
     for profile in profiles:
         lhs = labeled_pairing_sum(list(profile))
         rhs = NPoly.zero()
@@ -375,6 +376,23 @@ def test_ribbon_pairing_sum_matches_ribbon_catalog():
         for code, aut, topo in ribbon_classes(list(profile)):
             rhs = rhs + NPoly.N(topo.f) * Fraction(1, aut)
         assert lhs == rhs, profile
+    # every profile of 10 half-edges, split or not: the labelled sum runs over
+    # disconnected gluings too, whose classes the exponential formula builds
+    # from the connected ones, so the sum over all classes of N**f/|Aut| is
+    # the profile's coefficient in exp(sum over connected classes)
+    from mobex.series import CouplingSeries
+
+    connected = CouplingSeries(10)
+    for profile in all_profiles(5):
+        total = NPoly.zero()
+        for code, aut, topo in ribbon_classes(list(profile)):
+            total = total + NPoly.N(topo.f) * Fraction(1, aut)
+        connected.set_coefficient(profile, total)
+    every = connected.exp()
+    for profile in all_profiles(5):
+        if sum(profile) == 10:
+            lhs = labeled_pairing_sum(list(profile), mode="ribbon")
+            assert lhs == every.coefficient(profile), profile
 
 
 def test_moebius_ribbon_factor_two_small():

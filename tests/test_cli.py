@@ -47,13 +47,36 @@ def test_expand_json_schema(capsys):
     assert t2["coeff"] == {"2": "1", "1": "-1/2"}
 
 
-def test_expand_threads_do_not_change_bytes(capsys):
-    code1, out1, _ = run_cli(capsys, "expand", "--beta", "1", "--tag", "master",
-                             "--max-degree", "6", "--threads", "1")
-    code2, out2, _ = run_cli(capsys, "expand", "--beta", "1", "--tag", "master",
-                             "--max-degree", "6", "--threads", "3")
+def spy_on_pmap(monkeypatch):
+    """The thread counts expand_logZ hands to pmap, one per call."""
+    from mobex import parallel
+
+    calls = []
+
+    def spy(fn, items, threads):
+        calls.append(threads)
+        return parallel.pmap(fn, items, threads)
+
+    monkeypatch.setattr(series, "pmap", spy)
+    return calls
+
+
+def test_expand_threads_do_not_change_bytes(capsys, monkeypatch):
+    # degree 10 needs 10 half-edges, enough for expand_logZ to fork the pool
+    calls = spy_on_pmap(monkeypatch)
+    argv = ("expand", "--tag", "gse-penner", "--max-degree", "10", "--threads")
+    code2, out2, _ = run_cli(capsys, *argv, "2")
+    code1, out1, _ = run_cli(capsys, *argv, "1")
+    assert calls == [2, 1]
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_expand_below_the_pool_threshold_runs_serially(capsys, monkeypatch):
+    calls = spy_on_pmap(monkeypatch)
+    code, _, _ = run_cli(capsys, "expand", "--beta", "1", "--max-degree", "8",
+                         "--threads", "2")
+    assert code == 0 and calls == [1]
 
 
 # golden_cli/<name>.json -> argv; the files were written by an earlier commit

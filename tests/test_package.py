@@ -86,3 +86,16 @@ def test_cli_loads_only_the_layers_it_runs(argv, loaded):
     if argv[:2] == ["oracle", "mc"]:  # the sampler loads numpy, whose submodules vary
         names = [name for name in names if name.split(".")[0] == "mobex"]
     assert names == sorted(loaded)
+
+
+def test_cold_import_loads_no_heavy_stdlib():
+    # dataclasses alone cost about 10 ms per cold process; inspect,
+    # multiprocessing and numpy load only where a run needs them
+    code = ("import sys, mobex.cli, mobex.series, mobex.catalog\n"
+            "print(' '.join(sorted({'dataclasses', 'inspect', 'multiprocessing', 'numpy'}"
+            " & set(sys.modules))))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == []
