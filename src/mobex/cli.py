@@ -244,6 +244,11 @@ def _cmd_oracle(args: argparse.Namespace) -> None:
 def _cmd_oracle_mc(args: argparse.Namespace) -> None:
     from . import oracle
 
+    if "numpy" not in sys.modules:
+        # OpenBLAS reads this once, at numpy's import.  Its thread pool only
+        # spins beside the sampler's small eigensolves: one thread prints the
+        # same bytes at half the CPU, and a user's own setting still wins.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     mean, err = oracle.mc_estimate(args.beta, args.n, args.powers, args.samples,
                                    args.seed, scale=args.scale)
     _emit({"mean": mean, "stderr": err, "beta": args.beta, "n": args.n,

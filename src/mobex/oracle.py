@@ -14,12 +14,26 @@ Each step lowers the degree by two, so one memoized recursion gives every
 moment exactly, as a polynomial in N, for beta = 1, 2 and 4 alike; it
 never touches a graph.
 
-oracle_logZ builds log Z from these moments as a series over Q[N] for
-every tag, with the scale s/4 and vertex factors s/(2j) of its strength s
-(series._TAGS), and oracle_compare compares it with the graph sum once,
-coefficient polynomial by coefficient polynomial.  invariant's s = N beta
-carries N: its t-monomial with v vertices and e edges is the one at
-s = beta times N**(v-e).
+log Z is a sum over connected surfaces, and its coefficients are the
+joint cumulants kappa(p_{j_1}, ..., p_{j_n}).  Taking the connected part of
+each side splits E[p_a p_b F] into the cumulant holding both p's and the
+products over the ways to share F between them.  With S the multiset of
+the j_l and m_j the multiplicity of j in it, that gives the connected loop
+equations:
+
+    2c kappa(p_{k+1}, S) = (1 - beta/2) k kappa(p_{k-1}, S)
+        + (beta/2) sum_{a+b=k-1} [kappa(p_a, p_b, S)
+            + sum_{S_1 + S_2 = S} kappa(p_a, S_1) kappa(p_b, S_2)]
+        + sum_j j m_j kappa(p_{k+j-1}, S - {j})
+
+The splits run over sub-multisets, weighted by binomial counts;
+kappa(p_0) = N, and a cumulant that holds p_0 beside another power is 0.
+oracle_logZ builds log Z straight from these cumulants as a series over
+Q[N] for every tag, with the scale s/4 and vertex factors s/(2j) of its
+strength s (series._TAGS), and oracle_compare compares it with the graph
+sum once, coefficient polynomial by coefficient polynomial.  invariant's
+s = N beta carries N: its t-monomial with v vertices and e edges is the
+one at s = beta times N**(v-e).
 
 The paper's one construction of the three ensembles: a self-adjoint
 matrix over the units {1}, {1, i} or {1, i, j, k} is X = sum_u U_u (x) B_u,
@@ -38,7 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, isfinite
+from math import comb, factorial, isfinite, prod
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
 
 from .errors import (HALF_EDGE_BUDGET, ORACLE_DEGREE_BUDGET, BudgetError, UsageError,
@@ -93,7 +107,13 @@ class OracleReport(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _loop_moment(beta: int, scale: Fraction, powers: Tuple[int, ...]) -> NPoly:
-    """E[prod_l p_{j_l}] as a polynomial in N; powers sorted, each >= 1."""
+    """E[prod_l p_{j_l}] as a polynomial in N; powers sorted, each >= 1.
+
+    The full moments that eigenvalue_moment, dualchar's characteristic
+    polynomial sides and the Monte Carlo checks read.  It is also the
+    deliberate independent cross-check of _cumulant: the log of its moment
+    series is the cumulant series, and the tests compare the two.
+    """
     if not powers:
         return NPoly.const(1)
     if sum(powers) % 2:
@@ -113,6 +133,44 @@ def _loop_moment(beta: int, scale: Fraction, powers: Tuple[int, ...]) -> NPoly:
         total += half * moment(rest, a, k - 1 - a)
     for i, j in enumerate(rest):
         total += j * moment(rest[:i] + rest[i + 1:], k + j - 1)
+    return total * Fraction(1, 2 * scale)
+
+
+@lru_cache(maxsize=None)
+def _cumulant(beta: int, scale: Fraction, powers: Tuple[int, ...]) -> NPoly:
+    """kappa(p_{j_1}, ..., p_{j_n}) in N by the connected loop equations; powers sorted, >= 1."""
+    if sum(powers) % 2:
+        return NPoly.zero()
+    k, rest = powers[-1] - 1, powers[:-1]
+
+    def kappa(others: Tuple[int, ...], *extra: int) -> NPoly:
+        # the joint cumulant of the p_e and others; p_0 = N is a constant
+        if 0 in extra:
+            return NPoly.N(1) if extra == (0,) and not others else NPoly.zero()
+        return _cumulant(beta, scale, tuple(sorted(others + extra)))
+
+    values = sorted(set(rest))
+    counts = [rest.count(j) for j in values]
+    pairs = NPoly.zero()  # the bracket summed over a + b = k - 1
+    for a in range(k):
+        pairs += kappa(rest, a, k - 1 - a)
+    for taken in product(*(range(m + 1) for m in counts)):  # the splits S_1 + S_2 = S
+        left = tuple(j for j, t in zip(values, taken) for _ in range(t))
+        right = tuple(j for j, t, m in zip(values, taken, counts) for _ in range(m - t))
+        split = NPoly.zero()
+        for a in range(k):
+            first = kappa(left, a)
+            if first:
+                split += first * kappa(right, k - 1 - a)
+        if split:
+            pairs += prod(comb(m, t) for m, t in zip(counts, taken)) * split
+    half = Fraction(beta, 2)
+    total = half * pairs
+    if k and half != 1:
+        total += (1 - half) * k * kappa(rest, k - 1)
+    for j, m in zip(values, counts):
+        i = rest.index(j)
+        total += j * m * kappa(rest[:i] + rest[i + 1:], k + j - 1)
     return total * Fraction(1, 2 * scale)
 
 
@@ -244,38 +302,54 @@ def wick_trace_moment(beta: int, n: int, powers: Sequence[int], scale: Fraction)
 
 def oracle_logZ(beta: int, tag: str, degree: int,
                 budget: int = ORACLE_DEGREE_BUDGET) -> CouplingSeries:
-    """log Z as a t-series over Q[N], from the loop-equation moments."""
-    from .series import _TAGS, _ensemble_beta, _monomial_count, series_one, tag_monomials
+    """log Z as a t-series over Q[N], from the connected loop equations.
+
+    log Z = log E[exp(sum_j s t_j p_j / (2j))] at Gaussian scale c = s/4
+    is the cumulant series: the coefficient of a monomial J with
+    multiplicities m_j is kappa(p_J) * prod_j (s/(2j))**m_j / m_j!, times
+    N**(v - e) for the symbolic tag.  _cumulant solves, for a multiset S
+    of powers with multiplicities m_j,
+
+        2c kappa(p_{k+1}, S) = (1 - beta/2) k kappa(p_{k-1}, S)
+            + (beta/2) sum_{a+b=k-1} [kappa(p_a, p_b, S)
+                + sum_{S_1 + S_2 = S} kappa(p_a, S_1) kappa(p_b, S_2)]
+            + sum_j j m_j kappa(p_{k+j-1}, S - {j}),
+
+    the splits S_1 + S_2 = S counted with binomial weights, kappa(p_0) = N,
+    and 0 for a cumulant holding p_0 beside another power.  No series log
+    is taken.
+    """
+    from .series import _TAGS, CouplingSeries, _ensemble_beta, _monomial_count, tag_monomials
     measure_beta, row = _ensemble_beta(tag, beta), _TAGS[tag]
     if degree > budget:
         count = _monomial_count(degree, row.dropped)
         raise BudgetError(
-            "degree %d exceeds oracle budget %d: it would compute %s eigenvalue moments,"
+            "degree %d exceeds oracle budget %d: it would compute %s cumulants,"
             " one per coupling monomial of tag %r"
             % (degree, budget, "over 10^30" if count is None else count, tag))
     strength = row.strength_at(measure_beta)
 
-    z = series_one(degree)
+    log_z = CouplingSeries(degree)
     for monomial in tag_monomials(tag, degree):
         coeff = Fraction(1)
         for j in set(monomial):
             m = monomial.count(j)
             coeff *= Fraction(strength, 2 * j) ** m / factorial(m)
         n_power = len(monomial) - sum(monomial) // 2 if row.symbolic else 0
-        z.set_coefficient(monomial, _loop_moment(measure_beta, Fraction(strength, 4), monomial)
-                          * NPoly.N(n_power, coeff))
-    return z.log()
+        log_z.set_coefficient(monomial, _cumulant(measure_beta, Fraction(strength, 4), monomial)
+                              * NPoly.N(n_power, coeff))
+    return log_z
 
 
 def oracle_compare(beta: int, tag: str, degree: int, sizes: Sequence[int],
                    budget: int = ORACLE_DEGREE_BUDGET,
                    half_edge_budget: int = HALF_EDGE_BUDGET) -> List[OracleReport]:
-    """Exact comparison of the Moebius-graph sum against eigenvalue moments.
+    """Exact comparison of the Moebius-graph sum against eigenvalue cumulants.
 
     Both sides are log Z as a series over Q[N], for every tag, and their
     coefficient polynomials are compared once; each size only evaluates
     them into its reports.  invariant's scale N beta/4 is rescaled's beta/4
-    with the eigenvalues divided by sqrt(N), which multiplies a moment of
+    with the eigenvalues divided by sqrt(N), which multiplies a cumulant of
     e = sum/2 edges by N**-e, and its v vertex factors N beta/(2j) add N**v.
     The graph side is compared at r**2 = beta/2, which leaves a series
     without r as it is.  The oracle side comes first: it checks the tag's

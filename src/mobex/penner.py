@@ -257,8 +257,8 @@ def goe_penner_zseries(degree: int,
     decomposition identity.
     """
     from .series import expand_logZ, rescale_couplings
-    base = expand_logZ("master", degree, beta=1, include_t1=False,
-                       include_t2=False, half_edge_budget=half_edge_budget)
+    base = expand_logZ("master", degree, beta=1, dropped={1, 2},
+                       half_edge_budget=half_edge_budget)
     scaled = rescale_couplings(
         base, lambda key: NPoly.const(Fraction(2) ** (len(key) - sum(key) // 2)))
     return penner_substitute(scaled)

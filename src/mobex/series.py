@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
+from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
+                    Tuple)
 
 from .catalog import HALF_EDGE_BUDGET, enumerate_graphs
 from .errors import BudgetError, UsageError
@@ -131,7 +132,11 @@ class CouplingSeries:
         return result
 
     def log(self) -> "CouplingSeries":
-        """log of a series with constant term 1."""
+        """log of a series with constant term 1.
+
+        No code in mobex calls it.  The tests keep it: the log of the moment
+        series is the deliberate second route to the oracle's cumulant log Z.
+        """
         if self.constant_term() != NPoly.const(1):
             raise UsageError("log needs constant term 1")
         x = self.without_constant()
@@ -240,11 +245,6 @@ def _ensemble_beta(tag: str, beta: Optional[int]) -> int:
     return beta
 
 
-def _dropped_couplings(tag: str, include_t1: bool, include_t2: bool) -> FrozenSet[int]:
-    """The couplings t_j an expansion leaves out: the tag's, and t_1, t_2 on request."""
-    return _row(tag).dropped | {j for j, keep in ((1, include_t1), (2, include_t2)) if not keep}
-
-
 def _monomial_count(degree: int, dropped: FrozenSet[int]) -> Optional[int]:
     """len(tag_monomials(...)) without listing them; None from 10**30 on.
 
@@ -276,10 +276,13 @@ def _monomial_count(degree: int, dropped: FrozenSet[int]) -> Optional[int]:
     return total
 
 
-def tag_monomials(tag: str, degree: int, include_t1: bool = True,
-                  include_t2: bool = True) -> List[Monomial]:
-    """The coupling monomials a tag expands to the truncation degree."""
-    dropped = _dropped_couplings(tag, include_t1, include_t2)
+def tag_monomials(tag: str, degree: int, dropped: AbstractSet[int] = frozenset()
+                  ) -> List[Monomial]:
+    """The coupling monomials a tag expands to the truncation degree.
+
+    They leave out the tag's own dropped couplings t_j and those in ``dropped``.
+    """
+    dropped = _row(tag).dropped | dropped
     return list(iter_monomials(degree, allowed=lambda j: j not in dropped))
 
 
@@ -311,7 +314,7 @@ _POOL_HALF_EDGES = 10
 
 
 def expand_logZ(tag: str, degree: int, beta: Optional[int] = None,
-                include_t1: bool = True, include_t2: bool = True,
+                dropped: AbstractSet[int] = frozenset(),
                 half_edge_budget: int = HALF_EDGE_BUDGET,
                 threads: int = 1) -> CouplingSeries:
     """Connected Moebius-graph sum for log Z in the chosen normalization.
@@ -328,23 +331,22 @@ def expand_logZ(tag: str, degree: int, beta: Optional[int] = None,
         raise UsageError("tag %r is symbolic in r = sqrt(alpha) and reads no beta" % tag)
     needed = degree - degree % 2
     if needed > half_edge_budget:
-        count = _monomial_count(degree, _dropped_couplings(tag, include_t1, include_t2))
+        count = _monomial_count(degree, _row(tag).dropped | dropped)
         raise BudgetError("truncation degree %d needs %d half-edges, budget is %d: it would sum"
                           " %s coupling monomials of tag %r"
                           % (degree, needed, half_edge_budget,
                              "over 10^30" if count is None else count, tag))
-    monomials = tag_monomials(tag, degree, include_t1, include_t2)
+    monomials = tag_monomials(tag, degree, dropped)
     totals = pmap(_connected_sum, [(m, tag, beta, half_edge_budget) for m in monomials],
                   threads if needed >= _POOL_HALF_EDGES else 1)
     return CouplingSeries(degree, {m: t for m, t in zip(monomials, totals) if t})
 
 
 def expand_Z(tag: str, degree: int, beta: Optional[int] = None,
-             include_t1: bool = True, include_t2: bool = True,
+             dropped: AbstractSet[int] = frozenset(),
              half_edge_budget: int = HALF_EDGE_BUDGET) -> CouplingSeries:
     """exp of the connected sum: the full (disconnected) graph expansion."""
-    return expand_logZ(tag, degree, beta, include_t1, include_t2,
-                       half_edge_budget).exp()
+    return expand_logZ(tag, degree, beta, dropped, half_edge_budget).exp()
 
 
 def apply_duality(series: CouplingSeries) -> CouplingSeries:

@@ -173,6 +173,32 @@ def test_oracle_mc_subcommand(capsys):
     assert abs(data["mean"] - 6) < 4 * data["stderr"]
 
 
+# oracle mc in a fresh interpreter: its stdout, then the BLAS thread variable it left
+BLAS_THREADS = """
+import contextlib, io, json, os, sys
+from mobex.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(json.loads(sys.argv[1])) == 0
+print(json.dumps([out.getvalue(), os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+def test_oracle_mc_runs_blas_on_one_thread_unless_told_otherwise():
+    argv = ["oracle", "mc", "--beta", "4", "--n", "3", "--powers", "2", "--samples", "300"]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for preset in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS, json.dumps(argv)],
+                              env=dict(env, **preset), capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        runs.append(json.loads(proc.stdout))
+    (unset_out, unset_var), (preset_out, preset_var) = runs
+    assert unset_out == preset_out and json.loads(unset_out)["samples"] == 300
+    assert (unset_var, preset_var) == ("1", "2")
+
+
 def test_penner_series_and_euler(capsys):
     code, out, _ = run_cli(capsys, "penner", "--model", "K", "--alpha", "2",
                            "--order", "2")
@@ -234,13 +260,13 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
 
 
 def test_oracle_mismatch_prints_its_report(monkeypatch, capsys):
-    real = oracle._loop_moment
-    monkeypatch.setattr(oracle, "_loop_moment", lambda *args: real(*args) + 1)
+    real = oracle._cumulant
+    monkeypatch.setattr(oracle, "_cumulant", lambda *args: real(*args) + 1)
     try:
         code, out, err = run_cli(capsys, "oracle", "--beta", "1", "--n", "2",
                                  "--max-degree", "2")
     finally:
-        real.cache_clear()  # its recursion went through the +1, so it cached wrong moments
+        real.cache_clear()  # its recursion went through the +1, so it cached wrong cumulants
     assert code == cli.EXIT_VERIFY and out == ""
     lines = err.splitlines()
     assert len(lines) == 1
@@ -343,7 +369,7 @@ def test_oracle_over_degree_budget_skips_the_graph_side(monkeypatch, capsys):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {
-        "error": "degree 10 exceeds oracle budget 8: it would compute 82 eigenvalue moments,"
+        "error": "degree 10 exceeds oracle budget 8: it would compute 82 cumulants,"
                  " one per coupling monomial of tag 'master'",
         "code": cli.EXIT_BUDGET}
 

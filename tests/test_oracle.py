@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -7,9 +8,9 @@ import pytest
 from mobex import series
 from mobex.errors import BudgetError, UsageError
 from mobex.npoly import NPoly
-from mobex.oracle import (MomentQuery, eigenvalue_moment, mc_estimate, oracle_compare,
-                          oracle_logZ, wick_trace_moment)
-from mobex.series import expand_logZ, tag_monomials
+from mobex.oracle import (MomentQuery, _cumulant, _loop_moment, eigenvalue_moment, mc_estimate,
+                          oracle_compare, oracle_logZ, wick_trace_moment)
+from mobex.series import expand_logZ, iter_monomials, series_one, tag_monomials
 
 GOLDEN_MOMENTS = Path(__file__).with_name("golden_eigenvalue_moments.json")
 
@@ -65,6 +66,43 @@ def test_loop_equation_logZ_is_the_graph_sum_in_N(tag, beta):
     if tag == "invariant":
         graph_side = graph_side.reduce_root(Fraction(beta, 2))
     assert oracle_logZ(beta, tag, 8) == graph_side
+
+
+@pytest.mark.parametrize("tag, beta", _TAG_BETAS)
+def test_cumulant_logZ_is_the_log_of_the_moment_series(tag, beta):
+    """The cumulant route against the moment route, to degree 10.
+
+    The deliberate second route: Z from _loop_moment's full moments with
+    the same vertex factors, then CouplingSeries.log, which no code in
+    mobex calls; this test keeps it in use as that route.
+    """
+    row = series._TAGS[tag]
+    strength = row.strength_at(beta)
+    z = series_one(10)
+    for monomial in tag_monomials(tag, 10):
+        weight = (prod(Fraction(strength, 2 * j) for j in monomial)
+                  / prod(factorial(monomial.count(j)) for j in set(monomial)))
+        n_power = len(monomial) - sum(monomial) // 2 if row.symbolic else 0
+        z.set_coefficient(monomial, _loop_moment(beta, Fraction(strength, 4), monomial)
+                          * NPoly.N(n_power, weight))
+    assert oracle_logZ(beta, tag, 10, budget=10) == z.log()
+
+
+def test_goe_gse_duality_one_connected_correlator_at_a_time():
+    # at c = 1/4, kappa^{beta=4}(J)(N) = (-2)**(e-n) kappa^{beta=1}(J)(-2N) for a
+    # monomial J of n parts and e edges: column by column in N**(e-n+chi), that is
+    # kappa_chi^{beta=4} = (-1)**chi 2**(2e-2n+chi) kappa_chi^{beta=1}, the paper's
+    # opposite sign on surfaces of odd Euler characteristic
+    monomials = list(iter_monomials(12))
+    assert len(monomials) == 159
+    nonzero = 0
+    for monomial in monomials:
+        e, n = sum(monomial) // 2, len(monomial)
+        goe = _cumulant(1, QUARTER, monomial)
+        assert _cumulant(4, QUARTER, monomial) == goe.scale_N(-2) * Fraction(-2) ** (e - n), \
+            monomial
+        nonzero += bool(goe)
+    assert nonzero == 133  # the other 26, each with four or more p_1, vanish
 
 
 def test_two_independent_oracles_agree():
@@ -163,16 +201,16 @@ def test_budget_error_counts_the_monomials_it_would_compute(tag, beta):
         with pytest.raises(BudgetError) as info:
             oracle_logZ(beta, tag, degree, budget=0)
         assert str(info.value) == (
-            "degree %d exceeds oracle budget 0: it would compute %d eigenvalue moments,"
+            "degree %d exceeds oracle budget 0: it would compute %d cumulants,"
             " one per coupling monomial of tag %r" % (degree, expected, tag))
 
 
 def test_budget_error_counts_without_listing_at_any_degree():
     # sum of p(n) over even n <= 500, from the pentagonal recurrence
     with pytest.raises(BudgetError, match=r"^degree 500 exceeds oracle budget 8: it would"
-                                          r" compute 21577430523547596097978 eigenvalue"):
+                                          r" compute 21577430523547596097978 cumulants,"):
         oracle_logZ(1, "master", 500)
-    with pytest.raises(BudgetError, match=r"compute over 10\^30 eigenvalue moments"):
+    with pytest.raises(BudgetError, match=r"compute over 10\^30 cumulants,"):
         oracle_logZ(1, "master", 10 ** 9)
 
 
