@@ -37,10 +37,11 @@ changes once its edge is placed.  Full mode (``canonical_code``,
 ``automorphism_count``) uses neither.  The Moebius catalog walks
 twisted streams under the full competition, the ribbon catalog untwisted
 streams under the positive-flag one.  The labelled pairing sum (both
-modes) counts every labelled gluing on one depth-first gluing tree, where
-gluings that share a prefix share its work, and never canonicalizes; it
-counts faces by joining the face map's open paths edge by edge,
-independently of the graph module's face walk.  Its first edge is tried
+modes) sums over every labelled gluing on one depth-first gluing tree,
+memoized on the open-path state so that gluings reaching the same state
+share their completions, and never canonicalizes; it counts faces by
+joining the face map's open paths edge by edge, independently of the
+graph module's face walk.  Its first edge is tried
 once per orbit of the layout symmetries that fix half-edge 0, the
 gluings below counting the orbit's size, since those symmetries keep
 face counts.  It and the tests' own matching sweeps are the independent
@@ -378,9 +379,9 @@ def _budgeted_key(profile, budget: int, twist_bits: Optional[Tuple[int, ...]] = 
     The refusal comes before any list or huge integer is built and names
     the predicted cost: (n-1)!! matchings, or with ``twist_bits`` the
     labelled gluings a pairing sum counts, those matchings times
-    len(twist_bits) ** (n/2) twist patterns.  Its walk visits only the
-    gluings under one first edge per symmetry orbit, but the count named
-    is the whole sum's, an upper bound at every profile.
+    len(twist_bits) ** (n/2) twist patterns.  That is the sum's number of
+    terms, an upper bound on what its walk visits: the walk tries one first
+    edge per symmetry orbit and shares each state's completions.
     """
     counts = profile_dict(profile)
     n = sum(j * count for j, count in counts.items())
@@ -661,15 +662,23 @@ def labeled_pairing_sum(profile, mode: str = "moebius",
     with the flip-free order prod_j v_j! j**v_j.  Both reproduce
     sum(N**f / |Aut|) over their class sets exactly (orbit-stabilizer).
 
-    The gluings are the leaves of one depth-first tree, so gluings that
-    share a prefix share its work: each step pairs the smallest free
-    half-edge a with a later free b at each allowed twist t and adds that
-    edge's four face-map arrows on the flat states 2*h + d (convention of
-    ``graphs._face_walks``: (a, d) goes to (pred[b], 1) if d ^ t, else to
-    (succ[b], 0), and likewise from b).  An arrow either joins two open
-    paths, kept as ``head``/``tail`` arrays of their ends and undone on
-    backtrack, or closes a cycle.  The face map's orbits come in mirror
-    pairs, so a leaf's cycle count is twice its face count.
+    The gluings are the leaves of one depth-first tree: each step pairs
+    the smallest free half-edge a with a later free b at each allowed twist
+    t and adds that edge's four face-map arrows on the flat states 2*h + d
+    (convention of ``graphs._face_walks``: (a, d) goes to (pred[b], 1) if
+    d ^ t, else to (succ[b], 0), and likewise from b).  An arrow either
+    joins two open paths, kept as ``head``/``tail`` arrays of their ends and
+    undone on backtrack, or closes a cycle.  The face map's orbits come in
+    mirror pairs, so a leaf's cycle count is twice its face count.
+
+    The tree is memoized, for this call only (transfer-matrix method).
+    After each placed edge the state is the set of free half-edges and, at
+    each out-state 2*h + d of a free h, ``head``: the first state of the
+    open path that ends there.  Every open path ends at such an out-state,
+    and later joins read ``head``/``tail`` only at path ends, so the state
+    fixes its completions.  The memo maps it to their tally {cycles closed
+    below: leaves}, which each prefix reaching it shifts by the cycles it
+    closed and scales by its weight.
 
     The first level is folded: half-edge 0's partner and twist are tried
     once per orbit of the layout symmetries that fix half-edge 0
@@ -677,8 +686,7 @@ def labeled_pairing_sum(profile, mode: str = "moebius",
     This is exact because such a symmetry maps the gluings whose first
     edge is (0, b, t) one-to-one onto those whose first edge is its image,
     and keeps each one's face count (relabelling, rotation and
-    ``flip_vertex`` all preserve faces).  Every level below the first
-    still visits each labelled gluing.
+    ``flip_vertex`` all preserve faces).
 
     A deliberate independent route: it never canonicalizes and counts
     faces without ``_face_walks``, so the pairing-sum and orbit-stabilizer
@@ -696,11 +704,23 @@ def labeled_pairing_sum(profile, mode: str = "moebius",
     head = list(range(2 * n))  # at a path's last state: its first state
     tail = list(range(2 * n))  # at a path's first state: its last state
     free = [True] * n
-    tally = [0] * (n + 1)
+    memo: Dict[Tuple[int, ...], Dict[int, int]] = {}
 
-    def glue(a: int, left: int, cycles: int, choices) -> None:
-        """Pair a with each (b, twists, weight) of ``choices``, each leaf
-        below counting ``weight``, and recurse on the next free half-edge."""
+    def completions(left: int) -> Dict[int, int]:
+        """{cycles closed below: leaves} over the completions of the current
+        partial gluing, shared by every prefix that reaches its state."""
+        c = free.index(True)
+        state = tuple([head[x] if free[x >> 1] else -1 for x in range(2 * c, 2 * n)])
+        found = memo.get(state)
+        if found is None:
+            found = memo[state] = glue(c, left, [(d, twist_bits, 1)
+                                                 for d in range(c + 1, n) if free[d]])
+        return found
+
+    def glue(a: int, left: int, choices) -> Dict[int, int]:
+        """{cycles closed: leaves} over the gluings that pair a with each
+        (b, twists, weight) of ``choices``, each leaf counting ``weight``."""
+        tally: Dict[int, int] = {}
         free[a] = False
         sa, pa = to_succ[a], to_pred[a]
         for b, bits, weight in choices:
@@ -709,7 +729,7 @@ def labeled_pairing_sum(profile, mode: str = "moebius",
             for t in bits:
                 arrows = (((2 * a, pb), (2 * a + 1, sb), (2 * b, pa), (2 * b + 1, sa)) if t
                           else ((2 * a, sb), (2 * a + 1, pb), (2 * b, sa), (2 * b + 1, pa)))
-                closed = cycles
+                closed = 0
                 joined = []
                 for x, y in arrows:
                     first = head[x]
@@ -720,24 +740,20 @@ def labeled_pairing_sum(profile, mode: str = "moebius",
                         tail[first] = last
                         head[last] = first
                         joined.append((x, y))
-                if left > 2:
-                    c = a + 1
-                    while not free[c]:
-                        c += 1
-                    glue(c, left - 2, closed,
-                         [(d, twist_bits, weight) for d in range(c + 1, n) if free[d]])
-                elif closed & 1:
-                    raise StructuralError("face walk is its own mirror; invalid twist data")
-                else:
-                    tally[closed >> 1] += weight
+                for cycles, leaves in (completions(left - 2) if left > 2 else {0: 1}).items():
+                    cycles += closed
+                    tally[cycles] = tally.get(cycles, 0) + weight * leaves
                 for x, y in reversed(joined):
                     tail[head[x]] = x
                     head[tail[y]] = y
             free[b] = True
         free[a] = True
+        return tally
 
-    glue(0, n, 0, _first_edges(key, twist_bits))
+    tally = glue(0, n, _first_edges(key, twist_bits))
+    if any(cycles & 1 for cycles in tally):
+        raise StructuralError("face walk is its own mirror; invalid twist data")
     denom = 1
     for j, count in profile_dict(key).items():
         denom *= factorial(count) * (2 * j if mode == "moebius" else j) ** count
-    return NPoly({(f, 0): Fraction(count, denom) for f, count in enumerate(tally) if count})
+    return NPoly({(cycles >> 1, 0): Fraction(count, denom) for cycles, count in tally.items()})

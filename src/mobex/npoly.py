@@ -73,7 +73,8 @@ class NPoly:
         self.terms: Dict[Key, Fraction] = {}
         if terms:
             for key, coeff in terms.items():
-                coeff = Fraction(coeff)
+                if type(coeff) is not Fraction:
+                    coeff = Fraction(coeff)
                 if coeff:
                     self.terms[key] = coeff
 
@@ -123,11 +124,12 @@ class NPoly:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> "NPoly":
-        if isinstance(other, (int, Fraction)):
-            other = NPoly.const(other)
         out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            add_term(out, key, coeff)
+        if isinstance(other, (int, Fraction)):
+            add_term(out, (0, 0), Fraction(other))
+        else:
+            for key, coeff in other.terms.items():
+                add_term(out, key, coeff)
         return NPoly._of(out)
 
     __radd__ = __add__
@@ -136,8 +138,6 @@ class NPoly:
         return NPoly._of({key: -coeff for key, coeff in self.terms.items()})
 
     def __sub__(self, other) -> "NPoly":
-        if isinstance(other, (int, Fraction)):
-            other = NPoly.const(other)
         return self + (-other)
 
     def __rsub__(self, other) -> "NPoly":
@@ -145,7 +145,9 @@ class NPoly:
 
     def __mul__(self, other) -> "NPoly":
         if isinstance(other, (int, Fraction)):
-            other = NPoly.const(other)
+            if not other:
+                return NPoly()
+            return NPoly._of({key: coeff * other for key, coeff in self.terms.items()})
         if not isinstance(other, NPoly):
             return NotImplemented
         return NPoly._of(mul_terms(self.terms, other.terms, _add_keys))

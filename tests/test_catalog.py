@@ -188,6 +188,24 @@ def test_pairing_sum_matches_per_gluing_face_walks():
         assert labeled_pairing_sum(list(profile), mode=mode) == expected, (profile, mode)
 
 
+def test_pairing_sum_is_the_wick_moment():
+    # Wick's theorem, with no graph built: at Gaussian scale beta/4 the
+    # moment E[prod_j p_j] of GOE (GUE) is the labelled pairing sum of that
+    # valence multiset times its layout symmetry order, 2**v prod_j
+    # j**m_j m_j! with twists (prod_j j**m_j m_j! without)
+    from mobex.oracle import _loop_moment
+
+    for profile in all_profiles(6):
+        order = 1
+        for j, count in Counter(profile).items():
+            order *= j ** count * factorial(count)
+        powers = tuple(sorted(profile))
+        moebius = _loop_moment(1, Fraction(1, 4), powers) * Fraction(1, order << len(profile))
+        ribbon = _loop_moment(2, Fraction(1, 2), powers) * Fraction(1, order)
+        assert labeled_pairing_sum(list(profile)) == moebius, profile
+        assert labeled_pairing_sum(list(profile), mode="ribbon") == ribbon, profile
+
+
 def first_choice_orbits(key, twist_bits):
     """Orbits of half-edge 0's first choices (b, t) under the layout
     symmetries that fix half-edge 0, closed from their generators: a

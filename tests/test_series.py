@@ -25,6 +25,30 @@ _npoly_terms = st.dictionaries(
     st.fractions(min_value=-2, max_value=2, max_denominator=3), max_size=6)
 
 
+@given(_npoly_terms, st.one_of(st.integers(-3, 3),
+                               st.fractions(min_value=-2, max_value=2, max_denominator=3)))
+@settings(max_examples=80, deadline=None)
+def test_npoly_scalar_arithmetic_matches_the_constant_polynomial(terms, scalar):
+    # int and Fraction operands take a fast path that scales or shifts the
+    # term dict; it must agree with the constant polynomial's route, keep
+    # every coefficient a non-zero Fraction, and leave no cancelled key
+    p = NPoly(terms)
+    c = NPoly.const(scalar)
+    cases = [(p * scalar, mul_terms(p.terms, c.terms, _add_keys)),
+             (scalar * p, mul_terms(p.terms, c.terms, _add_keys))]
+    for total in (p + scalar, scalar + p, p - (-scalar)):
+        expected = dict(p.terms)
+        for key, coeff in c.terms.items():
+            add_term(expected, key, coeff)
+        cases.append((total, expected))
+    for result, expected in cases:
+        assert result.terms == expected
+        assert all(type(coeff) is Fraction and coeff for coeff in result.terms.values())
+    assert (p * 0).terms == {} and (0 * p).terms == {}
+    assert (NPoly.N(1) + 3 - Fraction(3)).terms == {(1, 0): 1}
+    assert all(type(coeff) is Fraction for coeff in NPoly({(1, 0): 2, (0, 0): 1}).terms.values())
+
+
 @given(_npoly_terms, _npoly_terms, _npoly_terms)
 @settings(max_examples=80, deadline=None)
 def test_mul_terms_distributes_and_stores_no_zero(p, q, r):
