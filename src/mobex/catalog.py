@@ -36,7 +36,10 @@ and the first differing token decides, and a flag's first token never
 changes once its edge is placed.  Full mode (``canonical_code``,
 ``automorphism_count``) uses neither.  The Moebius catalog walks
 twisted streams under the full competition, the ribbon catalog untwisted
-streams under the positive-flag one.  The labelled pairing sum (both
+streams under the positive-flag one.  Each winner's surface is read off
+the walk's arrays, so ``census`` sums 1/|Aut| by surface with no graph
+built; only the per-class outputs (``enumerate_graphs``) rebuild one
+representative graph per class.  The labelled pairing sum (both
 modes) sums over every labelled gluing on one depth-first gluing tree,
 memoized on the open-path state so that gluings reaching the same state
 share their completions, and never canonicalizes; it counts faces by
@@ -57,10 +60,12 @@ from math import factorial, lgamma, log, log10, prod
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import HALF_EDGE_BUDGET, BudgetError, StructuralError, UsageError, figure
-from .graphs import MoebiusGraph, TopologyProfile, flip_vertex, topology
+from .graphs import (MoebiusGraph, TopologyProfile, _graph_arrays, _topology, flip_vertex,
+                     orientability, topology)
 from .npoly import NPoly
 
 ProfileKey = Tuple[int, ...]  # valence multiset, sorted descending
+_TWIST_BITS = {"moebius": (0, 1), "ribbon": (0,)}  # a mode's edge twists, flag directions
 
 
 # -- degree profiles ----------------------------------------------------------
@@ -98,11 +103,6 @@ class GraphCatalogEntry(NamedTuple):
 
 
 # -- canonical traversal -------------------------------------------------------
-
-def _graph_arrays(graph: MoebiusGraph):
-    return (tuple(len(r) for r in graph.rotations), graph._succ, graph._pred,
-            graph._vertex_of, graph._partner, graph._edge_of, graph.twists)
-
 
 def _traverse(h0, d0, valences, succ, pred, vertex_of, partner, edge_of, twists,
               best, candidate):
@@ -326,18 +326,14 @@ def automorphism_count(graph: MoebiusGraph, mode: str = "moebius") -> int:
         raise UsageError("automorphism_count requires a connected graph")
     if graph.n_half_edges == 0:
         return 1
-    if mode == "moebius":
-        _, count, _ = _canon(*_graph_arrays(graph))
-        return count
+    if mode not in _TWIST_BITS:
+        raise UsageError("mode must be 'moebius' or 'ribbon'")
     if mode == "ribbon":
-        from .graphs import orientability
         if orientability(graph) != 1:
             raise UsageError("ribbon automorphisms need an orientable graph")
-        norm = normalize_twists(graph)
-        assert not any(norm.twists)
-        _, count, _ = _canon(*_graph_arrays(norm), directions=(0,))
-        return count
-    raise UsageError("mode must be 'moebius' or 'ribbon'")
+        graph = normalize_twists(graph)
+        assert not any(graph.twists)
+    return _canon(*_graph_arrays(graph), directions=_TWIST_BITS[mode])[1]
 
 
 def _ribbon_order(count_all: int, count_plus: int) -> int:
@@ -372,26 +368,25 @@ def _layout(key: ProfileKey):
     return rotations, succ, pred, [v for v, rot in enumerate(rotations) for _ in rot]
 
 
-def _budgeted_key(profile, budget: int, twist_bits: Optional[Tuple[int, ...]] = None
-                  ) -> ProfileKey:
+def _budgeted_key(profile, budget: int, mode: str) -> ProfileKey:
     """The profile's key, after refusing more than ``budget`` half-edges.
 
     The refusal comes before any list or huge integer is built and names
-    the predicted cost: (n-1)!! matchings, or with ``twist_bits`` the
-    labelled gluings a pairing sum counts, those matchings times
-    len(twist_bits) ** (n/2) twist patterns.  That is the sum's number of
-    terms, an upper bound on what its walk visits: the walk tries one first
-    edge per symmetry orbit and shares each state's completions.
+    the predicted cost: the mode's labelled gluings, (n-1)!! matchings
+    times 2 ** (n/2) twist patterns, or untwisted in ribbon mode.  They
+    bound every route's work: a pairing sum has one term per gluing (its
+    walk shares each state's completions), and the streams a catalog walk
+    completes are flags up to automorphism, which the gluings outnumber.
     """
+    if mode not in _TWIST_BITS:
+        raise UsageError("mode must be 'moebius' or 'ribbon'")
     counts = profile_dict(profile)
     n = sum(j * count for j, count in counts.items())
     if n > budget:
         e = n // 2
         log_matchings = (lgamma(n + 1) - lgamma(e + 1)) / log(10) - e * log10(2)
         matchings = figure(log_matchings, lambda: prod(range(n - 1, 0, -2)))
-        if twist_bits is None:
-            cost = "%s matchings" % matchings
-        elif len(twist_bits) == 1:
+        if mode == "ribbon":
             cost = "%s untwisted labelled gluings" % matchings
         else:
             cost = "%s labelled gluings: %s matchings x %s twist patterns" % (
@@ -403,8 +398,8 @@ def _budgeted_key(profile, budget: int, twist_bits: Optional[Tuple[int, ...]] = 
 
 
 def _orderly(key: ProfileKey, directions: Tuple[int, ...]
-             ) -> List[Tuple[Tuple[int, ...], int, int]]:
-    """(stream, count_all, count_plus) for each class of ``key``.
+             ) -> List[Tuple[Tuple[int, ...], int, int, TopologyProfile]]:
+    """(stream, count_all, count_plus, topology) for each class of ``key``.
 
     Orderly generation: a class's canonical code is itself a BFS-normal
     stream (the one its minimal flags emit), and it is the only stream of
@@ -425,7 +420,8 @@ def _orderly(key: ProfileKey, directions: Tuple[int, ...]
     the arrays of the graph a stream encodes (each half-edge its own edge
     index, tree edges untwisted) live as it places vertices and edges, so
     each complete stream is tested on them in place, where flag (0, 0)
-    emits it.
+    emits it, and a winner's surface is read from them (``graphs._topology``;
+    orientable iff ``not any(twists)``, since tree edges are untwisted).
 
     Rule 1 cuts a branch once it cannot win: each placed edge fixes the
     first token of every maximal-valence flag at its two ends, -w for a
@@ -482,7 +478,8 @@ def _orderly(key: ProfileKey, directions: Tuple[int, ...]
             won = _canon(valences, succ, pred, vertex_of, partner, edge_of, twists,
                          directions, stream)
             if won is not None:
-                winners.append(won)
+                winners.append(won + (_topology(valences, succ, pred, vertex_of, partner,
+                                                edge_of, twists, -1 if any(twists) else 1),))
         elif i < labelled:
             for w in left:
                 if left[w]:
@@ -519,14 +516,13 @@ def _orderly(key: ProfileKey, directions: Tuple[int, ...]
 @lru_cache(maxsize=None)
 def _connected_catalog(key: ProfileKey) -> Tuple[GraphCatalogEntry, ...]:
     entries = []
-    for stream, count_all, count_plus in _orderly(key, (0, 1)):
-        rep = _graph_from_stream(stream)
+    for stream, count_all, count_plus, topo in _orderly(key, (0, 1)):
         entries.append(GraphCatalogEntry(
-            graph=rep,
+            graph=_graph_from_stream(stream),
             code=_stream_to_bytes(stream),
             aut_moebius=count_all,
-            aut_ribbon=None if any(rep.twists) else _ribbon_order(count_all, count_plus),
-            topology=topology(rep)))
+            aut_ribbon=None if topo.natural == -1 else _ribbon_order(count_all, count_plus),
+            topology=topo))
     return tuple(sorted(entries, key=lambda entry: entry.code))
 
 
@@ -596,7 +592,7 @@ def enumerate_graphs(profile, connected_only: bool = True,
                      half_edge_budget: int = HALF_EDGE_BUDGET
                      ) -> List[GraphCatalogEntry]:
     """One catalog entry per isomorphism class with the given valence profile."""
-    key = _budgeted_key(profile, half_edge_budget)
+    key = _budgeted_key(profile, half_edge_budget, "moebius")
     if connected_only:
         return list(_connected_catalog(key))
     return list(_full_catalog(key))
@@ -615,14 +611,35 @@ def _ribbon_catalog(key: ProfileKey) -> Tuple[Tuple[bytes, int, TopologyProfile]
     and hermitian-tag tests compare the class sets of two separate
     competitions.
     """
-    return tuple((_stream_to_bytes(stream), aut, topology(_graph_from_stream(stream)))
-                 for stream, aut, _ in sorted(_orderly(key, (0,))))
+    return tuple((_stream_to_bytes(stream), aut, topo)
+                 for stream, aut, _, topo in sorted(_orderly(key, (0,))))
 
 
 def ribbon_classes(profile, half_edge_budget: int = HALF_EDGE_BUDGET):
     """Connected ribbon classes as (code, aut_ribbon, topology) triples."""
-    key = _budgeted_key(profile, half_edge_budget)
+    key = _budgeted_key(profile, half_edge_budget, "ribbon")
     return list(_ribbon_catalog(key))
+
+
+# -- surface census ---------------------------------------------------------------
+
+def census(profile, mode: str = "moebius", half_edge_budget: int = HALF_EDGE_BUDGET
+           ) -> Tuple[Tuple[TopologyProfile, Fraction], ...]:
+    """(surface, sum of 1/|Aut|) over the connected classes of a profile.
+
+    A surface is a class's ``TopologyProfile``, all a class weight reads.
+    The classes are those of ``enumerate_graphs`` (Moebius mode) or
+    ``ribbon_classes`` (ribbon), read off the same walk with no graph built.
+    """
+    return _census(_budgeted_key(profile, half_edge_budget, mode), mode)
+
+
+@lru_cache(maxsize=None)
+def _census(key: ProfileKey, mode: str) -> Tuple[Tuple[TopologyProfile, Fraction], ...]:
+    sums: Dict[TopologyProfile, Fraction] = {}
+    for _, aut, _, topo in _orderly(key, _TWIST_BITS[mode]):
+        sums[topo] = sums.get(topo, 0) + Fraction(1, aut)
+    return tuple(sums.items())
 
 
 # -- labelled pairing sums ------------------------------------------------------
@@ -693,10 +710,8 @@ def labeled_pairing_sum(profile, mode: str = "moebius",
     tests can catch a class the catalog misses, an automorphism order it
     miscounts or a face walk that drifts.
     """
-    if mode not in ("moebius", "ribbon"):
-        raise UsageError("mode must be 'moebius' or 'ribbon'")
-    twist_bits = (0, 1) if mode == "moebius" else (0,)
-    key = _budgeted_key(profile, half_edge_budget, twist_bits)
+    key = _budgeted_key(profile, half_edge_budget, mode)
+    twist_bits = _TWIST_BITS[mode]
     n = sum(key)
     _, succ, pred, _ = _layout(key)
     to_succ = [2 * succ[h] for h in range(n)]

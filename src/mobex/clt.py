@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, NamedTuple, Tuple
 
-from .catalog import HALF_EDGE_BUDGET, _budgeted_key, ribbon_classes
+from .catalog import HALF_EDGE_BUDGET, _budgeted_key, census
 from .errors import UsageError, VerificationError
 from .npoly import NPoly
 from .series import CouplingSeries, expand_logZ
@@ -42,17 +42,16 @@ def clt_limit(alpha, j_max: int,
     if j_max < 1:
         raise UsageError("j_max must be >= 1")
     # the largest profile first, before any smaller catalog is built
-    _budgeted_key([j_max, j_max], half_edge_budget)
+    _budgeted_key([j_max, j_max], half_edge_budget, "ribbon")
     form: Dict[Tuple[int, int], Fraction] = {}
     for j1 in range(1, j_max + 1):
         for j2 in range(j1, j_max + 1):
             if (j1 + j2) % 2:
                 continue
             total = Fraction(0)
-            profile = [j1, j2]
-            for code, aut, topo in ribbon_classes(profile, half_edge_budget):
-                if topo.v == 2 and topo.chi == 2:
-                    total += Fraction(1, aut)
+            for topo, inverse_aut in census([j1, j2], "ribbon", half_edge_budget):
+                if topo.chi == 2:
+                    total += inverse_aut
             if total:
                 form[(j1, j2)] = alpha * total
     return CLTResult(alpha=alpha, quadratic_form=tuple(sorted(form.items())))

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
-from .catalog import HALF_EDGE_BUDGET, enumerate_graphs, ribbon_classes
+from .catalog import HALF_EDGE_BUDGET, census
 from .errors import UsageError, VerificationError
-from .graphs import MoebiusGraph, _face_walks
+from .graphs import MoebiusGraph, _face_walks, _graph_arrays
 from .npoly import NPoly, add_term, mul_terms
 from .oracle import (CPoly, MomentQuery, _cpoly_prod, _cpoly_sum, _cpoly_vars,
                      _gauss_expect_cpoly, _scaled, _unit_matrix, eigenvalue_moment)
@@ -60,7 +59,7 @@ def poincare_dual(graph: MoebiusGraph) -> MoebiusGraph:
     side0: List[int] = []          # dual half-edge id -> its side-0 blade
     half_of_blade: Dict[int, int] = {}
     rotations: List[Tuple[int, ...]] = []
-    for walk in _face_walks(graph):
+    for walk in _face_walks(*_graph_arrays(graph)):
         if not walk:
             continue
         rotation = []
@@ -107,16 +106,11 @@ def _charpoly_side(ensemble: str, degree: int, dual: bool,
     c = 1 if ensemble == "gue" else 2
     series = CouplingSeries(degree, {})
     for profile in iter_monomials(degree):
-        if c == 1:
-            classes = [(aut, topo) for _, aut, topo in ribbon_classes(profile, budget)]
-        else:
-            classes = [(entry.aut_moebius, entry.topology) for entry
-                       in enumerate_graphs(list(profile), half_edge_budget=budget)]
-        for aut, topo in classes:
+        for topo, inverse_aut in census(profile, "ribbon" if c == 1 else "moebius", budget):
             a, b, pairs = ((topo.f, topo.v, topo.f_profile) if dual
                            else (topo.v, topo.f, topo.v_profile))
             add_term(series.terms, _profile_monomial(pairs), NPoly.monomial(
-                b - topo.e, 0, Fraction((-1) ** a, aut) * Fraction(c) ** (a - topo.e)))
+                b - topo.e, 0, (-1) ** a * inverse_aut * Fraction(c) ** (a - topo.e)))
     return series
 
 

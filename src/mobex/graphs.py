@@ -17,7 +17,8 @@ equivalent; this one is pinned by the calibration examples in the tests
 from __future__ import annotations
 
 import json
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from collections import Counter
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .errors import StructuralError
 
@@ -95,12 +96,6 @@ class MoebiusGraph:
     def valences(self) -> Tuple[int, ...]:
         return tuple(len(r) for r in self.rotations)
 
-    def degree_profile(self) -> Dict[int, int]:
-        prof: Dict[int, int] = {}
-        for r in self.rotations:
-            prof[len(r)] = prof.get(len(r), 0) + 1
-        return prof
-
     def is_connected(self) -> bool:
         return self.n_vertices <= 1 or max(self._forest()[0]) == 0
 
@@ -149,21 +144,25 @@ class TopologyProfile(NamedTuple):
             assert self.genus == 1 - self.chi
 
 
-def _face_walks(graph: MoebiusGraph) -> List[List[int]]:
+def _graph_arrays(graph: MoebiusGraph):
+    """The raw arrays the face walk and the catalog read; its walk keeps them live."""
+    return (graph.valences(), graph._succ, graph._pred, graph._vertex_of,
+            graph._partner, graph._edge_of, graph.twists)
+
+
+def _face_walks(valences, succ, pred, vertex_of, partner, edge_of, twists) -> List[List[int]]:
     """One boundary walk per face, on flat states s = 2*h + d.
 
     The face-walk map sends the state (h, d) across the edge of h and on
     along the rotation; its orbits come in mirror pairs, the mirror of
     (h, d) being (partner(h), 1 - (d ^ twist)), and a geometric face is
     one such pair.  The walk scans the states in order, follows the orbit
-    of each unvisited one on raw arrays and marks that orbit's mirror as
-    visited without walking it, so each face is walked once, from its
-    smallest state.  An orbit that is its own mirror means invalid twist
-    data.  An isolated valence-0 vertex caps off a sphere: one empty walk.
+    of each unvisited one on ``_graph_arrays``'s arrays and marks that
+    orbit's mirror as visited without walking it, so each face is walked
+    once, from its smallest state.  An orbit that is its own mirror means
+    invalid twist data.  An isolated vertex caps off a sphere: one empty walk.
     """
-    succ, pred = graph._succ, graph._pred
-    partner, edge_of, twists = graph._partner, graph._edge_of, graph.twists
-    visited = bytearray(2 * graph.n_half_edges)
+    visited = bytearray(2 * len(partner))
     walks: List[List[int]] = []
     for s0 in range(len(visited)):
         if visited[s0]:
@@ -186,7 +185,7 @@ def _face_walks(graph: MoebiusGraph) -> List[List[int]]:
         for s in mirrors:
             visited[s] = 1
         walks.append(walk)
-    walks.extend([] for rot in graph.rotations if not rot)
+    walks.extend([] for w in valences if not w)
     return walks
 
 
@@ -198,7 +197,7 @@ def trace_faces(graph: MoebiusGraph) -> List[List[State]]:
     edge-sides on the face, so the face is a len(walk)-gon.  The faces are
     the flat walks of ``_face_walks`` (state 2*h + d), in its order.
     """
-    return [[(s >> 1, s & 1) for s in walk] for walk in _face_walks(graph)]
+    return [[(s >> 1, s & 1) for s in walk] for walk in _face_walks(*_graph_arrays(graph))]
 
 
 def _vertex_forest(rotations, vertex_of, partner, edge_of, twists):
@@ -248,24 +247,28 @@ def orientability(graph: MoebiusGraph) -> int:
 
 
 def topology(graph: MoebiusGraph) -> TopologyProfile:
-    faces = _face_walks(graph)
-    f_prof: Dict[int, int] = {}
-    for walk in faces:
-        f_prof[len(walk)] = f_prof.get(len(walk), 0) + 1
+    """The graph's surface: ``_topology``, the catalog walk's route too."""
+    return _topology(*_graph_arrays(graph), orientability(graph))
 
-    v = graph.n_vertices
-    e = graph.n_edges
+
+def _topology(valences, succ, pred, vertex_of, partner, edge_of, twists, natural
+              ) -> TopologyProfile:
+    """The surface of the arrays' graph, given its orientability ``natural``."""
+    faces = [len(walk) for walk in _face_walks(valences, succ, pred, vertex_of, partner,
+                                                 edge_of, twists)]
+
+    v = len(valences)
+    e = len(partner) // 2
     f = len(faces)
     chi = v - e + f
-    natural = orientability(graph)
     sharp = -1 if chi % 2 else 1
     sigma = (1 + sharp) // 2 - natural
     genus = 1 - chi // 2 if natural == 1 else 1 - chi
 
     prof = TopologyProfile(
         v=v, e=e, f=f,
-        v_profile=tuple(sorted(graph.degree_profile().items())),
-        f_profile=tuple(sorted(f_prof.items())),
+        v_profile=tuple(sorted(Counter(valences).items())),
+        f_profile=tuple(sorted(Counter(faces).items())),
         chi=chi, natural=natural, sharp=sharp, sigma=sigma, genus=genus)
     prof.check()
     return prof

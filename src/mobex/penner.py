@@ -282,18 +282,18 @@ def real_moduli_graph_sum(q: int, n: int,
     with f = n faces and chi = 1 - 2q, all valences >= 3."""
     if q < 0 or n <= 0 or 1 - 2 * q - n >= 0:
         raise UsageError("invalid (q, n)")
-    from .catalog import enumerate_graphs
+    from .catalog import _budgeted_key, census
     from .series import iter_monomials
     excess = 2 * q + n - 1  # e - v = f - chi
     chi = 1 - 2 * q
+    # valence multisets with all j >= 3 and e - v = excess, so 2e <= 6 * excess,
+    # the all-trivalent one largest: refused first, before any catalog is built
+    _budgeted_key([3] * (2 * excess), half_edge_budget, "moebius")
     total = Fraction(0)
-    # valence multisets with all j >= 3 and e - v = excess, so 2e <= 6 * excess
     for profile in iter_monomials(6 * excess, allowed=lambda j: j >= 3):
         if sum(profile) // 2 - len(profile) != excess:
             continue
-        for entry in enumerate_graphs(list(profile), connected_only=True,
-                                      half_edge_budget=half_edge_budget):
-            topo = entry.topology
+        for topo, inverse_aut in census(profile, "moebius", half_edge_budget):
             if topo.natural == -1 and topo.f == n and topo.chi == chi:
-                total += Fraction((-1) ** topo.e, entry.aut_moebius)
+                total += (-1) ** topo.e * inverse_aut
     return total

@@ -25,9 +25,9 @@ b = 2 r**2 and s = N b, and reads no beta; its integral is the one at
 alpha = beta/2, and it is the fixed point of the duality
 alpha -> 1/alpha, N -> -alpha N.
 
-The weight reads a class only through (f, chi, sigma), so each monomial's
-census, (f, chi, sigma) -> sum of 1/|Aut|, and each weight are computed
-once per process and shared by every tag and call.
+The weight reads a class only through its surface's (f, chi, sigma), so
+each monomial is summed from its surface census (``catalog.census``, no
+graph built), and each census and weight is computed once per process.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional,
                     Tuple)
 
-from .catalog import HALF_EDGE_BUDGET, enumerate_graphs
+from .catalog import HALF_EDGE_BUDGET, census
 from .errors import BudgetError, UsageError
 from .npoly import NPoly, add_term, mul_terms
 from .parallel import pmap
@@ -286,23 +286,12 @@ def tag_monomials(tag: str, degree: int, dropped: AbstractSet[int] = frozenset()
     return list(iter_monomials(degree, allowed=lambda j: j not in dropped))
 
 
-@lru_cache(maxsize=None)
-def _census(monomial: Monomial, half_edge_budget: int) -> tuple:
-    """((f, chi, sigma), sum of 1/|Aut|) over the connected classes of one monomial."""
-    census: Dict[Tuple[int, int, int], Fraction] = {}
-    for entry in enumerate_graphs(list(monomial), connected_only=True,
-                                  half_edge_budget=half_edge_budget):
-        key = (entry.topology.f, entry.topology.chi, entry.topology.sigma)
-        census[key] = census.get(key, 0) + Fraction(1, entry.aut_moebius)
-    return tuple(census.items())
-
-
 def _connected_sum(args) -> NPoly:
     """Weighted connected-class sum of one monomial (a pmap worker)."""
     monomial, tag, beta, half_edge_budget = args
     total = NPoly.zero()
-    for surface, inverse_aut in _census(monomial, half_edge_budget):
-        total = total + _weight(tag, beta, *surface) * inverse_aut
+    for topo, inverse_aut in census(monomial, "moebius", half_edge_budget):
+        total = total + _weight(tag, beta, topo.f, topo.chi, topo.sigma) * inverse_aut
     return total
 
 

@@ -2,10 +2,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from typing import NamedTuple
 
 import pytest
 
-from mobex.catalog import (automorphism_count, canonical_code, enumerate_graphs,
+from mobex.catalog import (automorphism_count, canonical_code, census, enumerate_graphs,
                            labeled_pairing_sum, normalize_twists, profile_key,
                            ribbon_classes)
 from mobex.errors import BudgetError, UsageError
@@ -47,18 +48,36 @@ def _pairings(n):
         yield tuple(pairs), partner, edge_of
 
 
+class Gluing(NamedTuple):
+    """One labelled gluing of a block layout, as ``graphs._graph_arrays``."""
+    valences: tuple
+    succ: list
+    pred: list
+    vertex_of: list
+    partner: list
+    edge_of: list
+    twists: tuple
+
+    def graph(self):
+        from mobex.catalog import _blocks
+
+        edges = [(h, p) for h, p in enumerate(self.partner) if h < p]
+        return MoebiusGraph(_blocks(self.valences), edges,
+                            [self.twists[self.edge_of[h]] for h, _ in edges])
+
+
 def pairing_sweep(profile, weight, mode="moebius"):
     """Reference for ``labeled_pairing_sum``: ``weight`` (an NPoly) of every
-    labelled gluing, built as a graph one at a time, summed over the layout
-    symmetry order."""
-    from mobex.catalog import _blocks
+    labelled gluing, taken one at a time on its arrays, summed over the
+    layout symmetry order."""
+    from mobex.catalog import _layout
 
     key = profile_key(list(profile))
     e = sum(key) // 2
-    rotations = _blocks(key)
+    _, succ, pred, vertex_of = _layout(key)
     patterns = list(product((False, True), repeat=e)) if mode == "moebius" else [(False,) * e]
-    tally = Counter(weight(MoebiusGraph(rotations, pairs, twists))
-                    for pairs, _, _ in _pairings(sum(key)) for twists in patterns)
+    tally = Counter(weight(Gluing(key, succ, pred, vertex_of, partner, edge_of, twists))
+                    for _, partner, edge_of in _pairings(sum(key)) for twists in patterns)
     denom = 1
     for j, count in Counter(key).items():
         denom *= factorial(count) * (2 * j if mode == "moebius" else j) ** count
@@ -68,8 +87,9 @@ def pairing_sweep(profile, weight, mode="moebius"):
     return total * Fraction(1, denom)
 
 
-def faces_weight(graph):
-    return NPoly.N(len(_face_walks(graph)))
+def faces_weight(gluing):
+    # the graph module's face walk, on the sweep's own arrays
+    return NPoly.N(len(_face_walks(*gluing)))
 
 
 def test_profile_validation():
@@ -152,8 +172,7 @@ def test_catalog_entries_are_canonical_and_sorted():
         assert codes == sorted(codes)
         for e in entries:
             assert canonical_code(e.graph) == e.code
-            assert e.graph.degree_profile() == dict(
-                (j, c) for j, c in e.topology.v_profile)
+            assert Counter(e.graph.valences()) == dict(e.topology.v_profile)
     # the connected catalog is generated, not canonicalized: recheck every
     # entry it keeps against the flag competition run on its representative
     for profile in list(all_profiles(4)) + [(5, 5), (4, 3, 3), (3, 3, 2, 2)]:
@@ -168,6 +187,51 @@ def test_catalog_entries_are_canonical_and_sorted():
                 assert e.aut_ribbon == automorphism_count(e.graph, "ribbon")
             else:
                 assert e.aut_ribbon is None
+
+
+def test_census_matches_the_graph_modules_topology():
+    # the census reads each surface off the generating walk; rebuild every
+    # class's representative and key it by the graph module's own route
+    # (face walk on the graph, twist coboundary test), in both modes
+    from mobex.catalog import _graph_from_stream
+
+    for profile in all_profiles(5):
+        expected = Counter()
+        for entry in enumerate_graphs(list(profile)):
+            expected[topology(entry.graph)] += Fraction(1, entry.aut_moebius)
+        assert dict(census(list(profile))) == expected, profile
+        expected = Counter()
+        for code, aut, _ in ribbon_classes(list(profile)):
+            stream = tuple(int(tok) for tok in code.split(b","))
+            expected[topology(_graph_from_stream(stream))] += Fraction(1, aut)
+        assert dict(census(list(profile), mode="ribbon")) == expected, profile
+
+
+def test_census_consumers_build_no_graph(monkeypatch):
+    # with no representative graph to be had, every census consumer still returns
+    from mobex import catalog, graphs
+    from mobex.clt import clt_limit
+    from mobex.dualchar import charpoly_lhs, charpoly_rhs
+    from mobex.penner import real_moduli_euler, real_moduli_graph_sum
+    from mobex.series import expand_logZ
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(catalog, "_graph_from_stream", refuse)
+    monkeypatch.setattr(graphs.MoebiusGraph, "__init__", refuse)
+    caches = (catalog._connected_catalog, catalog._full_catalog, catalog._ribbon_catalog,
+              catalog._census)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        assert expand_logZ("master", 8, beta=1).terms
+        assert charpoly_lhs("goe", 6).terms and charpoly_rhs("gue", 6).terms
+        assert clt_limit(1, 4).quadratic_form
+        assert real_moduli_graph_sum(1, 1) == real_moduli_euler(1, 1)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_pairing_sum_examples():
@@ -435,8 +499,8 @@ def test_orbit_stabilizer_on_classes():
     for profile in ((3, 3), (4,), (2, 2)):
         cat = enumerate_graphs(list(profile), connected_only=False)
         for target in cat:
-            def indicator(graph, code=target.code):
-                return NPoly.const(1 if canonical_code(graph) == code else 0)
+            def indicator(gluing, code=target.code):
+                return NPoly.const(1 if canonical_code(gluing.graph()) == code else 0)
             value = pairing_sweep(profile, indicator)
             assert value == NPoly.const(Fraction(1, target.aut_moebius))
 
@@ -524,6 +588,23 @@ def test_pairing_sum_budget_error_names_the_gluings():
         labeled_pairing_sum([18])
     with pytest.raises(BudgetError, match=r"\(34459425 untwisted labelled gluings\)"):
         labeled_pairing_sum([18], mode="ribbon")
+
+
+def test_every_catalog_route_names_the_gluings():
+    # the labelled gluings bound the streams a catalog walk can complete:
+    # with twists for the Moebius routes, untwisted for the ribbon ones
+    from mobex.clt import clt_limit
+
+    moebius = r"\(17643225600 labelled gluings: 34459425 matchings x 512 twist patterns\)"
+    ribbon = r"\(34459425 untwisted labelled gluings\)"
+    for route, text in ((lambda: enumerate_graphs([18]), moebius),
+                        (lambda: enumerate_graphs([18], connected_only=False), moebius),
+                        (lambda: census([18]), moebius),
+                        (lambda: ribbon_classes([18]), ribbon),
+                        (lambda: census([18], mode="ribbon"), ribbon),
+                        (lambda: clt_limit(1, 9), ribbon)):
+        with pytest.raises(BudgetError, match=text):
+            route()
 
 
 from hypothesis import given, settings

@@ -301,8 +301,10 @@ def test_env_budget_override(monkeypatch, capsys):
     monkeypatch.setenv("MOBEX_HALF_EDGE_BUDGET", "4")
     code, _, err = run_cli(capsys, "graphs", "--profile", "3:2")
     assert code == cli.EXIT_BUDGET
-    # the error names the predicted cost: 5!! = 15 matchings of 6 half-edges
-    assert json.loads(err)["error"] == "profile {3: 2} needs 6 half-edges (15 matchings), budget is 4"
+    # the error names the predicted cost: 5!! = 15 matchings of 6 half-edges,
+    # times 2**3 twist patterns, the labelled gluings that bound the catalog's walk
+    assert json.loads(err)["error"] == ("profile {3: 2} needs 6 half-edges (120 labelled gluings:"
+                                        " 15 matchings x 8 twist patterns), budget is 4")
     # explicit flag wins over the environment
     code, out, _ = run_cli(capsys, "graphs", "--profile", "3:2",
                            "--half-edge-budget", "16")

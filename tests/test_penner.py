@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from mobex.errors import StructuralError, UsageError
+from mobex.errors import BudgetError, StructuralError, UsageError
 from mobex.npoly import NPoly
 from mobex.oracle import _loop_moment
 from mobex.penner import (I_series, J_series, K1_series, K2_series, K_series,
@@ -185,3 +185,15 @@ def test_real_moduli_closed_form_values():
 
 def test_real_moduli_graph_sum_small():
     assert real_moduli_graph_sum(0, 2) == real_moduli_euler(0, 2)
+
+
+def test_real_moduli_graph_sum_refuses_before_any_catalog(monkeypatch):
+    # (2, 1) needs the all-trivalent {3: 8}, 24 half-edges: refused at once
+    from mobex import catalog
+
+    def walk(*args):
+        raise AssertionError("a catalog walk ran")
+
+    monkeypatch.setattr(catalog, "_orderly", walk)
+    with pytest.raises(BudgetError, match=r"profile \{3: 8\} needs 24 half-edges"):
+        real_moduli_graph_sum(2, 1)
