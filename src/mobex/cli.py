@@ -362,18 +362,31 @@ _SHARED = {"--format": {"choices": ["json", "table", "csv"], "default": "json"},
            "--mu-budget": {"type": int},
            "--oracle-budget": {"type": int}}
 
-# "<subcommand> <mode>" pairs with a parser of their own
-_MODES = ("oracle mc", "penner euler", "charpoly verify")
+# every subcommand, and each "<subcommand> <mode>" with a parser of its own, in the
+# order the full parser lists them
+_SUBCOMMANDS = ("graphs", "expand", "mu", "oracle", "oracle mc", "penner", "penner euler",
+                "charpoly", "charpoly verify", "clt", "duality")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves a parser unchanged."""
+    return _parser(None)
 
 
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing leaves a parser unchanged."""
+def _parser(only: Optional[str]) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with only the one named ``only``.
+
+    A subcommand's own parser, and so its usage, help and errors, is the
+    same in both, so a process that runs one subcommand builds only that one.
+    """
     parser = _Parser(prog="mobex", description="Exact Moebius-graph expansions of"
                      " GOE/GUE/GSE matrix integrals")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_parser(name, run, shared, about):
+        if only not in (None, name):
+            return None
         p = sub.add_parser(name, help=about)
         p.set_defaults(run=run)
         for flag in shared:
@@ -382,80 +395,92 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("graphs", _cmd_graphs, ["--format", "--half-edge-budget"],
                    "enumerate graph classes for a valence profile")
-    p.add_argument("--profile", type=_parse_profile, required=True, help="e.g. 3:2,4:1")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--connected", dest="connected", action="store_true", default=True)
-    group.add_argument("--all", dest="connected", action="store_false")
+    if p:
+        p.add_argument("--profile", type=_parse_profile, required=True, help="e.g. 3:2,4:1")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--connected", dest="connected", action="store_true", default=True)
+        group.add_argument("--all", dest="connected", action="store_false")
 
     p = add_parser("expand", _cmd_expand, ["--format", "--half-edge-budget", "--threads"],
                    "graph-sum expansion of log Z")
-    p.add_argument("--beta", type=int, default=None)
-    p.add_argument("--tag", choices=list(TAGS), default="master")
-    p.add_argument("--max-degree", type=int, required=True)
+    if p:
+        p.add_argument("--beta", type=int, default=None)
+        p.add_argument("--tag", choices=list(TAGS), default="master")
+        p.add_argument("--max-degree", type=int, required=True)
 
     p = add_parser("mu", _cmd_mu, ["--mu-budget"], "signed unit-configuration count of a graph")
-    p.add_argument("--graph", required=True, help="path to graph JSON")
-    p.add_argument("--beta", type=int, required=True)
+    if p:
+        p.add_argument("--graph", required=True, help="path to graph JSON")
+        p.add_argument("--beta", type=int, required=True)
 
     p = add_parser("oracle", _cmd_oracle, ["--format", "--half-edge-budget", "--oracle-budget"],
                    "eigenvalue-integral cross-check")
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tag", choices=list(TAGS), default="master")
-    p.add_argument("--max-degree", type=int, default=4)
+    if p:
+        p.add_argument("--beta", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--tag", choices=list(TAGS), default="master")
+        p.add_argument("--max-degree", type=int, default=4)
 
     p = add_parser("oracle mc", _cmd_oracle_mc, [], "Monte Carlo estimate of an eigenvalue moment")
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--powers", type=_parse_powers, default="2")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--scale", type=_parse_fraction, default="1/4")
+    if p:
+        p.add_argument("--beta", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--powers", type=_parse_powers, default="2")
+        p.add_argument("--samples", type=int, default=100000)
+        p.add_argument("--seed", type=int, default=7)
+        p.add_argument("--scale", type=_parse_fraction, default="1/4")
 
     p = add_parser("penner", _cmd_penner, ["--format"], "Penner closed forms")
-    p.add_argument("--model", choices=["K", "J", "I"], default="K")
-    p.add_argument("--alpha", type=_parse_fraction, help="model K's parameter, default 1")
-    p.add_argument("--gamma", type=_parse_fraction, help="model J's parameter, default 1")
-    p.add_argument("--r", type=_parse_fraction, help="model I's parameter, default 1")
-    p.add_argument("--order", type=int, default=8)
+    if p:
+        p.add_argument("--model", choices=["K", "J", "I"], default="K")
+        p.add_argument("--alpha", type=_parse_fraction, help="model K's parameter, default 1")
+        p.add_argument("--gamma", type=_parse_fraction, help="model J's parameter, default 1")
+        p.add_argument("--r", type=_parse_fraction, help="model I's parameter, default 1")
+        p.add_argument("--order", type=int, default=8)
 
     p = add_parser("penner euler", _cmd_penner_euler, [], "real moduli Euler characteristics")
-    p.add_argument("--q", type=int, default=0)
-    p.add_argument("--n", type=int, default=2)
+    if p:
+        p.add_argument("--q", type=int, default=0)
+        p.add_argument("--n", type=int, default=2)
 
     p = add_parser("charpoly", _cmd_charpoly, ["--format", "--half-edge-budget"],
                    "characteristic-polynomial duality series")
-    p.add_argument("--ensemble", choices=["gue", "goe", "gse"], default="gue")
-    p.add_argument("--side", choices=["lhs", "rhs"], default="lhs")
-    p.add_argument("--max-degree", type=int, default=6)
+    if p:
+        p.add_argument("--ensemble", choices=["gue", "goe", "gse"], default="gue")
+        p.add_argument("--side", choices=["lhs", "rhs"], default="lhs")
+        p.add_argument("--max-degree", type=int, default=6)
 
     p = add_parser("charpoly verify", _cmd_charpoly_verify, [],
                    "finite-N characteristic-polynomial duality check")
-    p.add_argument("--which", choices=["BHC", "BHQ"], default="BHC")
-    p.add_argument("--N", type=int, default=1)
-    p.add_argument("--k", type=int, default=1)
+    if p:
+        p.add_argument("--which", choices=["BHC", "BHQ"], default="BHC")
+        p.add_argument("--N", type=int, default=1)
+        p.add_argument("--k", type=int, default=1)
 
     p = add_parser("clt", _cmd_clt, ["--format", "--half-edge-budget"],
                    "central-limit quadratic form")
-    p.add_argument("--alpha", type=_parse_fraction, default="1")
-    p.add_argument("--jmax", type=int, default=4)
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--max-degree", type=int, help="with --verify, default 6")
+    if p:
+        p.add_argument("--alpha", type=_parse_fraction, default="1")
+        p.add_argument("--jmax", type=int, default=4)
+        p.add_argument("--verify", action="store_true")
+        p.add_argument("--max-degree", type=int, help="with --verify, default 6")
 
     p = add_parser("duality", _cmd_duality, ["--half-edge-budget"],
                    "alpha -> 1/alpha, N -> -alpha N involution check")
-    p.add_argument("--alpha", type=_parse_fraction, default="2")
-    p.add_argument("--max-degree", type=int, default=6)
+    if p:
+        p.add_argument("--alpha", type=_parse_fraction, default="2")
+        p.add_argument("--max-degree", type=int, default=6)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if " ".join(argv[:2]) in _MODES:  # "oracle mc ..." runs the parser "oracle mc"
+    if " ".join(argv[:2]) in _SUBCOMMANDS:  # "oracle mc ..." runs the parser "oracle mc"
         argv[:2] = [" ".join(argv[:2])]
     try:
-        args = build_parser().parse_args(argv)
+        # a known subcommand's parser alone; the full one for anything else, and for --help
+        args = _parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None).parse_args(argv)
         args.run(args)
         sys.stdout.flush()
         return 0

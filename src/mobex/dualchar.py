@@ -30,15 +30,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
 from .catalog import HALF_EDGE_BUDGET, census
 from .errors import UsageError, VerificationError
 from .graphs import MoebiusGraph, _face_walks, _graph_arrays
 from .npoly import NPoly, add_term, mul_terms
-from .oracle import (CPoly, MomentQuery, _cpoly_prod, _cpoly_sum, _cpoly_vars,
-                     _gauss_expect_cpoly, _scaled, _unit_matrix, eigenvalue_moment)
 from .series import CouplingSeries, iter_monomials
+
+if TYPE_CHECKING:  # oracle is imported where the finite-N identities run
+    from .oracle import CPoly
 
 LambdaSeries = CouplingSeries  # monomials are multisets of tau_j indices
 
@@ -172,6 +173,7 @@ def _elementary_in_powersums(m: int) -> Tuple[Tuple[Tuple[int, ...], Fraction], 
 def _charpoly_matrix_side(beta: int, n_size: int, k: int, scale: Fraction
                           ) -> Dict[Tuple[int, ...], Fraction]:
     """E[prod_l det(lambda_l - X)] as {lambda exponent vector: coefficient}."""
+    from .oracle import MomentQuery, eigenvalue_moment
     out: Dict[Tuple[int, ...], Fraction] = {}
 
     def rec(pos: int, exps: List[int], ppoly: PPoly, sign: int):
@@ -191,6 +193,8 @@ def _charpoly_matrix_side(beta: int, n_size: int, k: int, scale: Fraction
 
 def _pfaffian(a: List[List[CPoly]]) -> CPoly:
     """Pf of an antisymmetric 2m x 2m matrix, expanded along its first row."""
+    from .oracle import _cpoly_prod
+
     def pf(rows: Tuple[int, ...]) -> CPoly:
         if len(rows) == 2:
             return a[rows[0]][rows[1]]
@@ -213,6 +217,9 @@ def _dual_side(beta: int, n_size: int, k: int) -> Dict[Tuple[int, ...], Fraction
     Pf [[0, M], [-M^T, 0]] = det M at beta = 2 and Pf(M J), J = (i sigma_2)
     (x) I_k, at beta = 4, where M^T = J M J^-1 makes M J antisymmetric.
     """
+    from .oracle import (_cpoly_prod, _cpoly_sum, _cpoly_vars, _gauss_expect_cpoly, _scaled,
+                         _unit_matrix)
+
     y_matrix, d, nslots, variances = _unit_matrix(beta, k, Fraction(n_size * beta, 4), k)
     lam = _cpoly_vars(nslots)[1:k + 1]
     m = [[_cpoly_sum(lam[r % k] if r == s else {}, _scaled(-1j, entry))

@@ -17,8 +17,8 @@ two functions here do all of their arithmetic:
 * ``mul_terms(p, q, combine)`` multiplies two term dicts; ``combine(k1, k2)``
   is the key of the product of two monomials, or None to drop it.
 
-Coefficients only need ``+``, ``*`` and truth testing (``Fraction`` or
-``NPoly``).  The key conventions of the callers:
+Coefficients only need ``+``, ``*`` and truth testing (``Fraction``,
+``int`` or ``NPoly``).  The key conventions of the callers:
 
 * ``NPoly``: ``(n_exp, r_exp)``, combined by adding exponents;
 * ``series.CouplingSeries``: the sorted tuple of coupling indices (a
@@ -27,8 +27,9 @@ Coefficients only need ``+``, ``*`` and truth testing (``Fraction`` or
 * ``dualchar`` power-sum polynomials: the sorted tuple of power-sum indices,
   combined by a sorted merge;
 * ``oracle.CPoly``, the complex polynomials of the exact unit matrices (the
-  Wick moments and the ``dualchar`` dual side): an exponent vector whose
-  slot 0 is the power of i, combined by adding exponents slot by slot.
+  Wick moments and the ``dualchar`` dual side), with ``int`` coefficients: an
+  exponent vector whose slot 0 is the power of i, combined by adding
+  exponents slot by slot.
 """
 
 from __future__ import annotations

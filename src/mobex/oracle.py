@@ -28,23 +28,31 @@ equations:
 
 The splits run over sub-multisets, weighted by binomial counts;
 kappa(p_0) = N, and a cumulant that holds p_0 beside another power is 0.
-oracle_logZ builds log Z straight from these cumulants as a series over
-Q[N] for every tag, with the scale s/4 and vertex factors s/(2j) of its
-strength s (series._TAGS), and oracle_compare compares it with the graph
-sum once, coefficient polynomial by coefficient polynomial.  invariant's
-s = N beta carries N: its t-monomial with v vertices and e edges is the
-one at s = beta times N**(v-e).
+_kappa solves them at one scale c0 per beta: 1/4 for beta = 1 and 4, 1/2
+for beta = 2.  There, divided by 2 c0, the twist k (2 - beta)/(4 c0), the
+bracket beta/(4 c0) and the merge j m_j/(2 c0) are integers, so every
+cumulant is an integer polynomial in N, kept as a tuple of Python ints.
+Each edge is one Gaussian pairing, of variance proportional to 1/c, so at
+any other scale c a cumulant of e edges is (c0/c)**e times the kernel's;
+_cumulant turns it into an NPoly at that scale, the one place it becomes
+rational.  oracle_logZ builds log Z straight from these cumulants as a
+series over Q[N] for every tag, with the scale s/4 and vertex factors
+s/(2j) of its strength s (series._TAGS), and oracle_compare compares it
+with the graph sum once, coefficient polynomial by coefficient polynomial.
+invariant's s = N beta carries N: its t-monomial with v vertices and e
+edges is the one at s = beta times N**(v-e).
 
 The paper's one construction of the three ensembles: a self-adjoint
 matrix over the units {1}, {1, i} or {1, i, j, k} is X = sum_u U_u (x) B_u,
 with the units as d x d complex matrices (d = 1, 1, 2), B_0 real symmetric
 and the other B_u real antisymmetric.  _unit_matrix writes X once, exactly,
 over the entries of the B_u as Gaussian variables, in the complex
-polynomials (CPoly) whose algebra lives here.  wick_trace_moment integrates
-its traces by Isserlis's theorem, an entry-level route beside the loop
-equations at every beta, and dualchar's dual side takes its Y from the same
-builder.  Monte Carlo estimation draws X as floats; it is a sanity layer
-only, and acceptance never depends on it.
+polynomials (CPoly) whose algebra lives here; their coefficients stay in
+Z[i] until Isserlis's theorem integrates the variables out, with rational
+variances.  wick_trace_moment integrates its traces that way, an
+entry-level route beside the loop equations at every beta, and dualchar's
+dual side takes its Y from the same builder.  Monte Carlo estimation draws
+X as floats; it is a sanity layer only, and acceptance never depends on it.
 """
 
 from __future__ import annotations
@@ -136,42 +144,69 @@ def _loop_moment(beta: int, scale: Fraction, powers: Tuple[int, ...]) -> NPoly:
     return total * Fraction(1, 2 * scale)
 
 
-@lru_cache(maxsize=None)
-def _cumulant(beta: int, scale: Fraction, powers: Tuple[int, ...]) -> NPoly:
-    """kappa(p_{j_1}, ..., p_{j_n}) in N by the connected loop equations; powers sorted, >= 1."""
-    if sum(powers) % 2:
-        return NPoly.zero()
-    k, rest = powers[-1] - 1, powers[:-1]
+# each beta's kernel scale c0, at which the connected loop equations have integer constants
+_C0 = {1: Fraction(1, 4), 2: Fraction(1, 2), 4: Fraction(1, 4)}
 
-    def kappa(others: Tuple[int, ...], *extra: int) -> NPoly:
+
+@lru_cache(maxsize=None)
+def _kappa(beta: int, powers: Tuple[int, ...]) -> Tuple[int, ...]:
+    """kappa(p_{j_1}, ..., p_{j_n}) at scale _C0[beta]; powers sorted, each >= 1.
+
+    The integer coefficients of N**0, N**1, ..., with no trailing zero, so
+    () is 0.  A cumulant of e = sum/2 edges and n parts has degree at most
+    e - n + 2 in N (chi <= 2), and so has every term of its equation.
+    """
+    if sum(powers) % 2:
+        return ()
+    merge = int(1 / (2 * _C0[beta]))
+    bracket, twist = beta * merge // 2, (2 - beta) * merge // 2
+    k, rest = powers[-1] - 1, powers[:-1]
+    total = [0] * (sum(powers) // 2 + 2)
+
+    def kappa(others: Tuple[int, ...], *extra: int) -> Tuple[int, ...]:
         # the joint cumulant of the p_e and others; p_0 = N is a constant
         if 0 in extra:
-            return NPoly.N(1) if extra == (0,) and not others else NPoly.zero()
-        return _cumulant(beta, scale, tuple(sorted(others + extra)))
+            return (0, 1) if extra == (0,) and not others else ()
+        return _kappa(beta, tuple(sorted(others + extra)))
+
+    def add(poly: Tuple[int, ...], c: int) -> None:
+        for i, x in enumerate(poly):
+            total[i] += c * x
 
     values = sorted(set(rest))
     counts = [rest.count(j) for j in values]
-    pairs = NPoly.zero()  # the bracket summed over a + b = k - 1
-    for a in range(k):
-        pairs += kappa(rest, a, k - 1 - a)
+    for a in range(k):  # the bracket summed over a + b = k - 1
+        add(kappa(rest, a, k - 1 - a), bracket)
     for taken in product(*(range(m + 1) for m in counts)):  # the splits S_1 + S_2 = S
         left = tuple(j for j, t in zip(values, taken) for _ in range(t))
         right = tuple(j for j, t, m in zip(values, taken, counts) for _ in range(m - t))
-        split = NPoly.zero()
+        weight = bracket * prod(comb(m, t) for m, t in zip(counts, taken))
         for a in range(k):
             first = kappa(left, a)
             if first:
-                split += first * kappa(right, k - 1 - a)
-        if split:
-            pairs += prod(comb(m, t) for m, t in zip(counts, taken)) * split
-    half = Fraction(beta, 2)
-    total = half * pairs
-    if k and half != 1:
-        total += (1 - half) * k * kappa(rest, k - 1)
+                second = kappa(right, k - 1 - a)
+                for i, x in enumerate(first):
+                    if x:
+                        x *= weight
+                        for j, y in enumerate(second, i):
+                            total[j] += x * y
+    if k and twist:
+        add(kappa(rest, k - 1), twist * k)
     for j, m in zip(values, counts):
         i = rest.index(j)
-        total += j * m * kappa(rest[:i] + rest[i + 1:], k + j - 1)
-    return total * Fraction(1, 2 * scale)
+        add(kappa(rest[:i] + rest[i + 1:], k + j - 1), merge * j * m)
+    while total and not total[-1]:
+        total.pop()
+    return tuple(total)
+
+
+def _cumulant(beta: int, scale: Fraction, powers: Tuple[int, ...]) -> NPoly:
+    """kappa(p_{j_1}, ..., p_{j_n}) in N at Gaussian scale ``scale``; powers sorted, >= 1.
+
+    _kappa's at c0 = _C0[beta] times (c0/scale)**e, e = sum/2 edges.
+    """
+    factor = (_C0[beta] / scale) ** (sum(powers) // 2)
+    return NPoly._of({(n, 0): factor * c for n, c in enumerate(_kappa(beta, powers)) if c})
 
 
 def eigenvalue_moment(query: MomentQuery) -> Fraction:
@@ -189,11 +224,12 @@ _UNITS = {1: [[[1]]],
           4: [[[1, 0], [0, 1]], [[0, 1j], [1j, 0]], [[0, 1], [-1, 0]], [[1j, 0], [0, -1j]]]}
 
 # complex polynomials in real Gaussian variables plus lambda symbols:
-# {exponent tuple: Fraction}.  Slot 0 is the power of i, left unreduced so
-# that products need only add exponents; the next k slots are the lambdas
-# and the rest the Gaussian variables.  i is reduced (i**2 = -1) only when
-# the Gaussian variables are integrated out.
-CPoly = Dict[Tuple[int, ...], Fraction]
+# {exponent tuple: int}, over Z[i].  Slot 0 is the power of i, left
+# unreduced so that products need only add exponents; the next k slots are
+# the lambdas and the rest the Gaussian variables.  i is reduced
+# (i**2 = -1), and the rational Isserlis weights come in, only when the
+# Gaussian variables are integrated out.
+CPoly = Dict[Tuple[int, ...], int]
 
 
 def _add_exps(e1: Tuple[int, ...], e2: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -202,8 +238,7 @@ def _add_exps(e1: Tuple[int, ...], e2: Tuple[int, ...]) -> Tuple[int, ...]:
 
 def _cpoly_vars(nslots: int) -> List[CPoly]:
     """i and the variables: the monomials with a single exponent 1."""
-    return [{tuple(int(t == idx) for t in range(nslots)): Fraction(1)}
-            for idx in range(nslots)]
+    return [{tuple(int(t == idx) for t in range(nslots)): 1} for idx in range(nslots)]
 
 
 def _cpoly_sum(*polys: CPoly) -> CPoly:
@@ -216,7 +251,7 @@ def _cpoly_sum(*polys: CPoly) -> CPoly:
 
 def _scaled(z: complex, poly: CPoly) -> CPoly:
     """z * poly for a Gaussian integer z; its imaginary part raises the power of i."""
-    unit = {(0,): Fraction(int(z.real)), (1,): Fraction(int(z.imag))}  # 0 terms drop out
+    unit = {(0,): int(z.real), (1,): int(z.imag)}  # 0 terms drop out
     return mul_terms(unit, poly, lambda step, key: (step[0] + key[0],) + key[1:])
 
 
@@ -229,19 +264,33 @@ def _cpoly_prod(*polys: CPoly) -> CPoly:
 
 def _gauss_expect_cpoly(poly: CPoly, k: int, variances: Sequence[Fraction]
                         ) -> Dict[Tuple[int, ...], Fraction]:
-    """Integrate out the Gaussian variables; imaginary parts must cancel."""
-    out: Dict[Tuple[int, ...], Fraction] = {}
-    acc_im: Dict[Tuple[int, ...], Fraction] = {}
+    """Integrate out the Gaussian variables; imaginary parts must cancel.
+
+    Isserlis: E[x**d] = (d - 1)!! var**(d/2) for even d, else 0.  The
+    integer parts are summed per (real or imaginary, lambda monomial,
+    powers of each distinct variance), and each sum takes its variances
+    once, so the coefficients stay in Z[i] until the end.
+    """
+    distinct = sorted(set(variances))
+    slots = [distinct.index(var) for var in variances]
+    sums: Dict[tuple, int] = {}
     for exps, coeff in poly.items():
         i_power, lam = exps[0], exps[1:k + 1]
-        weight = Fraction(1 if i_power % 4 < 2 else -1)  # i**i_power = weight or weight*i
-        for d, var in zip(exps[k + 1:], variances):
+        weight = coeff if i_power % 4 < 2 else -coeff  # i**i_power = weight or weight*i
+        halves = [0] * len(distinct)
+        for d, slot in zip(exps[k + 1:], slots):
             if d % 2:
                 break
-            m = d // 2
-            weight *= Fraction(factorial(d), factorial(m) * 2 ** m) * var ** m
+            if d:
+                weight *= factorial(d) // (factorial(d // 2) << d // 2)
+                halves[slot] += d // 2
         else:
-            add_term(acc_im if i_power % 2 else out, lam, coeff * weight)
+            add_term(sums, (i_power % 2, lam, tuple(halves)), weight)
+    out: Dict[Tuple[int, ...], Fraction] = {}
+    acc_im: Dict[Tuple[int, ...], Fraction] = {}
+    for (imaginary, lam, halves), total in sums.items():
+        add_term(acc_im if imaginary else out, lam,
+                 prod((var ** m for var, m in zip(distinct, halves)), start=Fraction(total)))
     if acc_im:
         raise VerificationError("Gaussian expectation is not real", payload=acc_im)
     return out
@@ -286,7 +335,7 @@ def wick_trace_moment(beta: int, n: int, powers: Sequence[int], scale: Fraction)
     query = MomentQuery(beta, n, tuple(powers), scale)
     x, d, nslots, variances = _unit_matrix(beta, n, Fraction(query.scale))
     dn = range(len(x))
-    integrand = one = {(0,) * nslots: Fraction(1)}
+    integrand = one = {(0,) * nslots: 1}
     for j in query.powers:
         power = [[one if r == t else {} for t in dn] for r in dn]  # X**0
         for _ in range(j - 1):
@@ -307,8 +356,8 @@ def oracle_logZ(beta: int, tag: str, degree: int,
     log Z = log E[exp(sum_j s t_j p_j / (2j))] at Gaussian scale c = s/4
     is the cumulant series: the coefficient of a monomial J with
     multiplicities m_j is kappa(p_J) * prod_j (s/(2j))**m_j / m_j!, times
-    N**(v - e) for the symbolic tag.  _cumulant solves, for a multiset S
-    of powers with multiplicities m_j,
+    N**(v - e) for the symbolic tag.  _kappa solves, for a multiset S of
+    powers with multiplicities m_j,
 
         2c kappa(p_{k+1}, S) = (1 - beta/2) k kappa(p_{k-1}, S)
             + (beta/2) sum_{a+b=k-1} [kappa(p_a, p_b, S)
@@ -316,8 +365,9 @@ def oracle_logZ(beta: int, tag: str, degree: int,
             + sum_j j m_j kappa(p_{k+j-1}, S - {j}),
 
     the splits S_1 + S_2 = S counted with binomial weights, kappa(p_0) = N,
-    and 0 for a cumulant holding p_0 beside another power.  No series log
-    is taken.
+    and 0 for a cumulant holding p_0 beside another power, at the scale c0
+    where its constants are integers; _cumulant rescales it to c = s/4.
+    No series log is taken.
     """
     from .series import _TAGS, CouplingSeries, _ensemble_beta, _monomial_count, tag_monomials
     measure_beta, row = _ensemble_beta(tag, beta), _TAGS[tag]

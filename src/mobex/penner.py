@@ -121,29 +121,34 @@ def _four_sum(order: int, a: Fraction) -> ZSeries:
     Its z**m N**(m+2-2q-2s) terms depend on q only through t = q + s, so
     they are summed by t: row[t], the sum over q <= t of B_2q B_2(t-q)
     a**(-2q) / ((2q)! (2t-2q)!), is built once for every m (less its q = t
-    term at t = (m+1)/2, where q <= m//2 excludes it), so each m costs O(m)."""
+    term at t = (m+1)/2, where q <= m//2 excludes it), so each m costs O(m).
+    Each z**m coefficient is summed in one term dict and wrapped once."""
     if order < 1:
         raise UsageError("order must be >= 1")
     if a <= 0:
         raise UsageError("the Vandermonde power 2a needs a > 0")
     top = (order + 1) // 2
+    power = [a ** i for i in range(order + 2)]  # a**0 .. a**(order+1)
     right = [bernoulli(2 * s) / factorial(2 * s) for s in range(top + 1)]  # B_2s / (2s)!
-    left = [right[q] / a ** (2 * q) for q in range(top + 1)]  # B_2q a**(-2q) / (2q)!
+    left = [right[q] / power[2 * q] for q in range(top + 1)]  # B_2q a**(-2q) / (2q)!
     row = [sum(left[q] * right[t - q] for q in range(t + 1)) for t in range(top + 1)]
     out = ZSeries(order)
     for m in range(1, order + 1):
         signed = Fraction((-1) ** m * factorial(m - 1))
+        terms = {}
         if m % 2:
             g = (m + 1) // 2
-            out.add_term(m, NPoly.N(1, bernoulli(2 * g) / Fraction(2 * g * (2 * g - 1))))
-        out.add_term(m, NPoly.N(m, Fraction((-1) ** m, 4 * m) * a ** m))
+            add_term(terms, (1, 0), bernoulli(2 * g) / Fraction(2 * g * (2 * g - 1)))
+        add_term(terms, (m, 0), Fraction((-1) ** m, 4 * m) * power[m])
         for q in range(m // 2 + 1):
-            out.add_term(m, NPoly.N(m + 1 - 2 * q, signed * right[q] / factorial(m + 1 - 2 * q)
-                                    * a ** m * (a ** (1 - 2 * q) - 1) / 2))
+            add_term(terms, (m + 1 - 2 * q, 0), signed * right[q] / factorial(m + 1 - 2 * q)
+                     * (power[m + 1 - 2 * q] - power[m]) / 2)
         for t in range((m + 1) // 2 + 1):
             inner = row[t] - left[t] if 2 * t == m + 1 else row[t]
-            out.add_term(m, NPoly.N(m + 2 - 2 * t,
-                                    -signed * inner * a ** (m + 1) / factorial(m + 2 - 2 * t)))
+            add_term(terms, (m + 2 - 2 * t, 0),
+                     -signed * inner * power[m + 1] / factorial(m + 2 - 2 * t))
+        if terms:
+            out.coeffs[m] = NPoly._of(terms)
     return out
 
 

@@ -121,13 +121,16 @@ class CouplingSeries:
         return CouplingSeries(self.degree, out)
 
     def exp(self) -> "CouplingSeries":
-        """exp of a series with zero constant term."""
+        """exp of a series with zero constant term.
+
+        Horner, 1 + x(1 + x/2 (1 + x/3 (...))), from k = degree // d, d the
+        least weighted degree of a monomial of x: x**k truncates to 0 past it.
+        """
         if self.constant_term():
             raise UsageError("exp needs a zero constant term")
         one = series_one(self.degree)
         result = one.copy()
-        # Horner: 1 + x(1 + x/2 (1 + x/3 (...)))
-        for k in range(self.degree, 0, -1):
+        for k in range(self.degree // min(map(sum, self.terms), default=self.degree + 1), 0, -1):
             result = one + (self * result) * Fraction(1, k)
         return result
 
@@ -289,10 +292,11 @@ def tag_monomials(tag: str, degree: int, dropped: AbstractSet[int] = frozenset()
 def _connected_sum(args) -> NPoly:
     """Weighted connected-class sum of one monomial (a pmap worker)."""
     monomial, tag, beta, half_edge_budget = args
-    total = NPoly.zero()
+    terms = {}
     for topo, inverse_aut in census(monomial, "moebius", half_edge_budget):
-        total = total + _weight(tag, beta, topo.f, topo.chi, topo.sigma) * inverse_aut
-    return total
+        for key, coeff in _weight(tag, beta, topo.f, topo.chi, topo.sigma).terms.items():
+            add_term(terms, key, coeff * inverse_aut)
+    return NPoly._of(terms)
 
 
 # Expansions needing fewer half-edges are summed serially, whatever the thread

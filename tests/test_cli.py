@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 
 from mobex import cli, oracle, series, sprinkle
 from mobex.dualchar import CharpolyReport
-from mobex.errors import TAGS
+from mobex.errors import TAGS, UsageError
 from mobex.graphs import MoebiusGraph, graph_to_json
 
 
@@ -104,6 +105,37 @@ def test_the_parser_is_built_once_and_keeps_no_state(capsys):
     runs = [run_cli(capsys, *argv) for argv in lines]
     assert runs[0][0] == cli.EXIT_USAGE and runs[1][0] == 0
     assert runs[2:] == runs[:2]
+
+
+def test_main_builds_only_the_parser_its_argv_names(monkeypatch, capsys):
+    built = []
+    real = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda only: built.append(only) or real(only))
+    for argv in (["penner", "--order", "3"], ["penner", "euler"], ["oracle", "mc", "--n", "x"],
+                 [], ["nonesuch"], ["--format", "json", "penner"]):
+        run_cli(capsys, *argv)
+    assert built == ["penner", "penner euler", "oracle mc", None, None, None]
+
+
+@pytest.mark.parametrize("name", cli._SUBCOMMANDS)
+def test_one_subcommand_parser_reads_as_the_full_one(capsys, name):
+    # usage, help and error text of a subcommand, from the full parser and its own
+    def texts(parser):
+        with pytest.raises(SystemExit):
+            parser.parse_args([name, "--help"])
+        with pytest.raises(UsageError) as info:
+            parser.parse_args([name, "--nonesuch"])
+        return capsys.readouterr().out, str(info.value)
+
+    full = texts(cli.build_parser())
+    assert full[0].startswith("usage: mobex %s [-h]" % name)
+    assert texts(cli._parser(name)) == full
+
+
+def test_the_subcommand_table_lists_the_full_parser():
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    assert tuple(sub.choices) == cli._SUBCOMMANDS
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -260,8 +292,13 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
 
 
 def test_oracle_mismatch_prints_its_report(monkeypatch, capsys):
-    real = oracle._cumulant
-    monkeypatch.setattr(oracle, "_cumulant", lambda *args: real(*args) + 1)
+    real = oracle._kappa
+
+    def plus_one(*args):  # the integer kernel's cumulant + 1
+        value = real(*args) or (0,)
+        return (value[0] + 1,) + value[1:]
+
+    monkeypatch.setattr(oracle, "_kappa", plus_one)
     try:
         code, out, err = run_cli(capsys, "oracle", "--beta", "1", "--n", "2",
                                  "--max-degree", "2")

@@ -88,6 +88,20 @@ def test_cli_loads_only_the_layers_it_runs(argv, loaded):
     assert names == sorted(loaded)
 
 
+def test_dualchar_loads_the_oracle_only_where_it_runs():
+    # poincare_dual and the lambda-series read no moment; the finite-N identities
+    # import the oracle when they run
+    code = ("import sys, mobex.dualchar\n"
+            "print('mobex.oracle' in sys.modules)\n"
+            "mobex.dualchar.verify_polynomial_identity(1, 1, 'BHC')\n"
+            "print('mobex.oracle' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["False", "True"]
+
+
 def test_cold_import_loads_no_heavy_stdlib():
     # dataclasses alone cost about 10 ms per cold process; inspect,
     # multiprocessing and numpy load only where a run needs them

@@ -119,6 +119,22 @@ def test_log_exp_roundtrip(series):
     assert series.exp().log() == series
 
 
+@settings(max_examples=40, deadline=None)
+@given(sparse_series(), st.booleans())
+def test_exp_stops_where_the_powers_truncate_to_zero(series, with_t1):
+    # exp starts Horner at degree // (least monomial degree); the reference runs
+    # all `degree` steps.  Without t_1 the least degree is >= 2.
+    terms = {key: value for key, value in series.terms.items() if with_t1 or 1 not in key}
+    if with_t1:
+        terms[(1,)] = NPoly.N(1, Fraction(-1, 3))
+    series = CouplingSeries(series.degree, terms)
+    one = series_one(series.degree)
+    full = one.copy()
+    for k in range(series.degree, 0, -1):
+        full = one + (series * full) * Fraction(1, k)
+    assert series.exp() == full
+
+
 def test_master_beta1_first_moments():
     s = expand_logZ("master", 2, beta=1)
     assert s.coefficient((2,)) == NPoly({(2, 0): Fraction(1, 4), (1, 0): Fraction(1, 4)})
