@@ -18,8 +18,8 @@ _EXPORTS = {
                "trace_faces"),
     "catalog": ("GraphCatalogEntry", "automorphism_count", "canonical_code",
                 "enumerate_graphs", "labeled_pairing_sum", "ribbon_classes"),
-    "sprinkle": ("MuReport", "UnitAlgebra", "calibrate_irreducibles",
-                 "mu_bruteforce", "mu_closed_form", "mu_report"),
+    "sprinkle": ("MuReport", "calibrate_irreducibles", "mu_bruteforce", "mu_closed_form",
+                 "mu_report"),
     "series": ("CouplingSeries", "apply_duality", "expand_logZ", "expand_Z"),
     "oracle": ("MomentQuery", "OracleReport", "eigenvalue_moment", "mc_estimate",
                "oracle_compare", "wick_trace_moment"),

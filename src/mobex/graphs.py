@@ -341,12 +341,16 @@ def graph_to_json(graph: MoebiusGraph) -> str:
 
 
 def graph_from_json(text: str) -> MoebiusGraph:
-    """Parse the wire format; twist bits must be JSON booleans, not coerced."""
+    """Parse the wire format; ids must be JSON integers, twist bits JSON booleans, not coerced."""
     try:
         data = json.loads(text)
-        twists = data["twists"]
+        rotations, edges, twists = data["rotations"], data["edges"], data["twists"]
         if not isinstance(twists, list) or not all(isinstance(t, bool) for t in twists):
             raise StructuralError("twist bits must be a list of JSON booleans")
-        return MoebiusGraph(data["rotations"], data["edges"], twists)
+        if any(len(pair) != 2 for pair in edges):
+            raise StructuralError("each edge must pair exactly two half-edges")
+        if any(type(h) is not int for ids in (*rotations, *edges) for h in ids):
+            raise StructuralError("half-edge ids must be JSON integers")
+        return MoebiusGraph(rotations, edges, twists)
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise StructuralError("invalid graph JSON: %s" % exc) from exc

@@ -470,6 +470,20 @@ def test_mu_rejects_non_boolean_twists(tmp_path, capsys, twists):
     assert json.loads(err)["code"] == cli.EXIT_STRUCTURAL
 
 
+# an edge of another length, and JSON booleans or floats as half-edge ids
+@pytest.mark.parametrize("rotations, edges", [
+    ("[[0, 1]]", "[[0, 1, 2]]"), ("[[0, 1]]", "[[0]]"),
+    ("[[0, true]]", "[[0, 1]]"), ("[[0, 1]]", "[[false, 1]]"), ("[[0, 1.0]]", "[[0, 1]]")])
+def test_mu_rejects_malformed_half_edges(tmp_path, capsys, rotations, edges):
+    path = tmp_path / "petal.json"
+    path.write_text('{"rotations": %s, "edges": %s, "twists": [false]}' % (rotations, edges))
+    code, out, err = run_cli(capsys, "mu", "--graph", str(path), "--beta", "2")
+    assert code == cli.EXIT_STRUCTURAL and out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == cli.EXIT_STRUCTURAL
+
+
 @pytest.mark.parametrize("samples", ["0", "1", "-1"])
 def test_mc_needs_two_samples(capsys, samples):
     code, out, err = run_cli(capsys, "oracle", "mc", "--beta", "1", "--n", "2",
@@ -566,6 +580,8 @@ FAILURE_CONTRACT = [
     ("oracle --beta 1 --n 2 --max-degree 6 --half-edge-budget 4", cli.EXIT_BUDGET),
     # the mu budget names beta^e to two figures past 30 digits, at any size
     ("mu --graph {tmp}/cycle.json --beta 4", cli.EXIT_BUDGET),
+    # beta = 1 is bounded by 2^e, before the sweep or the graph id
+    ("mu --graph {tmp}/cycle.json --beta 1", cli.EXIT_BUDGET),
     # the sampler refuses a scale or a mean that is not a finite float
     ("oracle mc --beta 1 --n 2 --samples 10 --scale 1e-400", cli.EXIT_USAGE),
     ("oracle mc --beta 1 --n 2 --samples 10 --scale 1e400", cli.EXIT_USAGE),

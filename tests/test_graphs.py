@@ -199,6 +199,20 @@ def test_json_round_trip():
         graph_from_json("{not json")
 
 
+def test_json_refuses_malformed_edges_and_non_integer_ids():
+    petal = '{"rotations": %s, "edges": %s, "twists": [false]}'
+    assert graph_from_json(petal % ("[[0, 1]]", "[[1, 0]]")) == MoebiusGraph(
+        [(0, 1)], [(0, 1)], [False])
+    for rotations, edges, message in (("[[0, 1]]", "[[0, 1, 2]]", "pair exactly two"),
+                                      ("[[0, 1]]", "[[0]]", "pair exactly two"),
+                                      ("[[0, true]]", "[[0, 1]]", "JSON integers"),
+                                      ("[[0, 1]]", "[[true, 0]]", "JSON integers"),
+                                      ('[[0, "1"]]', "[[0, 1]]", "JSON integers"),
+                                      ("[[0, 1]]", "[[0, 1.0]]", "JSON integers")):
+        with pytest.raises(StructuralError, match=message):
+            graph_from_json(petal % (rotations, edges))
+
+
 def test_twist_normalization_by_flips():
     # orientable graphs reach zero twisted edges over some flip subset;
     # non-orientable graphs never do (exhaustive over all 2**v subsets)

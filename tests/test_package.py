@@ -19,8 +19,8 @@ EXPORTS = {
                "graph_from_json", "graph_to_json", "orientability", "topology", "trace_faces"],
     "catalog": ["GraphCatalogEntry", "automorphism_count", "canonical_code",
                 "enumerate_graphs", "labeled_pairing_sum", "ribbon_classes"],
-    "sprinkle": ["MuReport", "UnitAlgebra", "calibrate_irreducibles", "mu_bruteforce",
-                 "mu_closed_form", "mu_report"],
+    "sprinkle": ["MuReport", "calibrate_irreducibles", "mu_bruteforce", "mu_closed_form",
+                 "mu_report"],
     "series": ["CouplingSeries", "apply_duality", "expand_logZ", "expand_Z"],
     "oracle": ["MomentQuery", "OracleReport", "eigenvalue_moment", "mc_estimate",
                "oracle_compare", "wick_trace_moment"],
@@ -33,7 +33,7 @@ PUBLIC = [(layer, name) for layer, names in EXPORTS.items() for name in names]
 
 
 def test_all_lists_every_export():
-    assert len(PUBLIC) == 48
+    assert len(PUBLIC) == 47
     assert sorted(mobex.__all__) == sorted(name for _, name in PUBLIC)
 
 

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from mobex.catalog import enumerate_graphs
 from mobex.errors import BudgetError, StructuralError, UsageError
 from mobex.graphs import MoebiusGraph, contract_edge, flip_vertex, orientability, topology
-from mobex.sprinkle import (UnitAlgebra, calibrate_irreducibles, flower_graph,
-                            mu_bruteforce, mu_closed_form, mu_report,
-                            petal_graph, standard_graph)
+from mobex.sprinkle import (_QMUL, calibrate_irreducibles, flower_graph, mu_bruteforce,
+                            mu_closed_form, mu_report, petal_graph, standard_graph)
 
 
 def all_profiles(e_max):
@@ -25,18 +24,19 @@ def all_profiles(e_max):
 
 
 def test_unit_algebra_table():
-    alg = UnitAlgebra(4)
+    # signed units idx + 4*negbit
     i, j, k = 1, 2, 3
     # e_i**2 = -1
     for unit in (i, j, k):
-        assert alg.multiply(unit, unit) == 0 + 4
+        assert _QMUL[unit][unit] == 0 + 4
     # ijk = -1
-    assert alg.multiply(alg.multiply(i, j), k) == 0 + 4
-    # conjugation flips imaginary units only
-    assert alg.conjugate(i) == i + 4
-    assert alg.conjugate(0) == 0
-    with pytest.raises(UsageError):
-        UnitAlgebra(3)
+    assert _QMUL[_QMUL[i][j]][k] == 0 + 4
+    # the quaternion group: associative, signs central, 1 the unit
+    for a, b, c in product(range(8), repeat=3):
+        assert _QMUL[_QMUL[a][b]][c] == _QMUL[a][_QMUL[b][c]]
+    for a in range(8):
+        assert _QMUL[0][a] == _QMUL[a][0] == a
+        assert _QMUL[4][a] == _QMUL[a][4] == a ^ 4
 
 
 def test_calibration_values():
@@ -123,6 +123,10 @@ def test_budget_and_preconditions():
         mu_bruteforce(disconnected, 2)
     with pytest.raises(UsageError):
         mu_bruteforce(petal_graph(), 3)
+    # beta = 1 has one assignment, but the sweep grows with e: it is bounded as 2^e
+    with pytest.raises(BudgetError, match=r"^2\^e = 2048 exceeds"):
+        mu_bruteforce(big, 1, assignment_budget=100)
+    assert mu_bruteforce(big, 1, assignment_budget=2 ** 11) == 1
 
 
 def test_mu_report_counts_real_configurations():
@@ -161,7 +165,6 @@ def full_sweep(graph, beta):
     The defining sum taken one assignment at a time, with no regrouping:
     ground truth for the vertex-by-vertex transfer in mu_report.
     """
-    alg = UnitAlgebra(beta)
     seqs = [[graph.edge_of(h) for h in rot] for rot in graph.rotations]
     total = counted = 0
     for units in product(range(beta), repeat=graph.n_edges):
@@ -169,7 +172,7 @@ def full_sweep(graph, beta):
         for seq in seqs:
             acc = 0
             for x in seq:
-                acc = alg.multiply(acc, units[x])
+                acc = _QMUL[acc][units[x]]
             if acc & 3:
                 break
             if acc & 4:
@@ -184,11 +187,19 @@ def full_sweep(graph, beta):
 
 
 @settings(max_examples=100, deadline=None)
-@given(connected_graphs(), st.sampled_from([2, 4]), st.data())
+@given(connected_graphs(), st.sampled_from([1, 2, 4]), st.data())
 def test_transfer_matches_full_sweep(graph, beta, data):
     report = mu_report(graph, beta)
     assert (report.mu_bruteforce, report.configurations_counted) == full_sweep(graph, beta)
     assert mu_bruteforce(graph, beta) == mu_closed_form(topology(graph), beta)
+    # a cyclic shift of each rotation is the same graph, but moves where the
+    # transfer can start each vertex
+    shifts = [data.draw(st.integers(0, max(len(rot) - 1, 0))) for rot in graph.rotations]
+    shifted = MoebiusGraph([rot[s:] + rot[:s] for rot, s in zip(graph.rotations, shifts)],
+                           graph.edges, graph.twists)
+    moved = mu_report(shifted, beta)
+    assert moved.mu_bruteforce == report.mu_bruteforce
+    assert moved.configurations_counted == report.configurations_counted
     # relabelling the vertices changes the order the transfer visits them in
     order = data.draw(st.permutations(range(graph.n_vertices)))
     moved = MoebiusGraph([graph.rotations[v] for v in order], graph.edges, graph.twists)
