@@ -305,6 +305,11 @@ def canonical_code(graph: MoebiusGraph) -> bytes:
             continue
         stream, _, _ = _canon(*_graph_arrays(part))
         codes.append(_stream_to_bytes(stream))
+    return _union_code(codes)
+
+
+def _union_code(codes) -> bytes:
+    """A graph's canonical code from its components' codes."""
     return b"|".join(sorted(codes))
 
 
@@ -541,37 +546,32 @@ def _subprofiles(key: ProfileKey) -> Iterator[Tuple[ProfileKey, ProfileKey]]:
 
 @lru_cache(maxsize=None)
 def _full_catalog(key: ProfileKey) -> Tuple[GraphCatalogEntry, ...]:
-    """Connected and disconnected classes, composed from connected catalogs."""
+    """Connected and disconnected classes, composed from connected catalogs.
+
+    A class is a connected class ``first`` of the part holding key[0] beside
+    a class ``tail`` of the rest, itself cached.  With m copies of ``first``
+    among its components, |Aut| = prod_i m_i! |Aut(C_i)|**m_i is m |Aut(first)|
+    |Aut(tail)|, in either group (ribbon: the all-equal-orientation
+    representative's).  A code keeps the union reached first.
+    """
     out: Dict[bytes, GraphCatalogEntry] = {}
-
-    def unions(remaining: ProfileKey) -> Iterator[List[GraphCatalogEntry]]:
-        if not remaining:
-            yield []
-            return
-        for part, rest in _subprofiles(remaining):
-            for entry in _connected_catalog(part):
-                for tail in unions(rest):
-                    yield [entry] + tail
-
-    for combo in unions(key):
-        # a union's canonical code is its components' codes, sorted and joined
-        code = b"|".join(sorted(c.code for c in combo))
-        if code in out:
+    for part, rest in _subprofiles(key):
+        firsts = _connected_catalog(part)
+        if not rest:
+            out.update((first.code, first) for first in firsts)
             continue
-        if len(combo) == 1:
-            out[code] = combo[0]
-            continue
-        # repeated components add their permutations to either group
-        sym = prod(factorial(m) for m in Counter(c.code for c in combo).values())
-        aut = sym * prod(c.aut_moebius for c in combo)
-        ribbon = None
-        if all(c.aut_ribbon is not None for c in combo):
-            # convention: value of the all-equal-orientation representative
-            ribbon = sym * prod(c.aut_ribbon for c in combo)
-        graph = _disjoint_union([c.graph for c in combo])
-        out[code] = GraphCatalogEntry(
-            graph=graph, code=code, aut_moebius=aut,
-            aut_ribbon=ribbon, topology=topology(graph))
+        tails = _full_catalog(rest) if firsts else ()
+        for first in firsts:
+            for tail in tails:
+                codes = [first.code, *tail.code.split(b"|")]
+                code = _union_code(codes)
+                if code not in out:
+                    m = codes.count(first.code)
+                    ribbon = (None if None in (first.aut_ribbon, tail.aut_ribbon)
+                              else m * first.aut_ribbon * tail.aut_ribbon)
+                    graph = _disjoint_union([first.graph, tail.graph])
+                    aut = m * first.aut_moebius * tail.aut_moebius
+                    out[code] = GraphCatalogEntry(graph, code, aut, ribbon, topology(graph))
     return tuple(out[c] for c in sorted(out))
 
 

@@ -203,15 +203,13 @@ def trace_faces(graph: MoebiusGraph) -> List[List[State]]:
 def _vertex_forest(rotations, vertex_of, partner, edge_of, twists):
     """Depth-first spanning forest of the vertex graph, on raw arrays.
 
-    Returns (comp, parity, tree, coherent): each vertex's component index
-    and twist parity relative to its component root (crossing a twisted
-    edge flips it), a flag per edge marking the forest edges, and whether
-    every edge agrees with the parities of its ends, i.e. whether the twist
-    bits form a coboundary.
+    Returns (comp, parity, coherent): each vertex's component index and
+    twist parity relative to its component root (crossing a twisted edge
+    flips it), and whether every edge agrees with the parities of its
+    ends, i.e. whether the twist bits form a coboundary.
     """
     comp = [-1] * len(rotations)
     parity = [0] * len(rotations)
-    tree = [False] * len(twists)
     coherent = True
     n_comp = 0
     for root in range(len(rotations)):
@@ -222,18 +220,16 @@ def _vertex_forest(rotations, vertex_of, partner, edge_of, twists):
         while stack:
             v = stack.pop()
             for h in rotations[v]:
-                e = edge_of[h]
                 w = vertex_of[partner[h]]
-                want = parity[v] ^ twists[e]
+                want = parity[v] ^ twists[edge_of[h]]
                 if comp[w] == -1:
                     comp[w] = n_comp
                     parity[w] = want
-                    tree[e] = True
                     stack.append(w)
                 elif parity[w] != want:
                     coherent = False
         n_comp += 1
-    return comp, parity, tree, coherent
+    return comp, parity, coherent
 
 
 def orientability(graph: MoebiusGraph) -> int:
@@ -243,7 +239,7 @@ def orientability(graph: MoebiusGraph) -> int:
     contradiction (in particular any twisted loop) certifies
     non-orientability.
     """
-    return 1 if graph._forest()[3] else -1
+    return 1 if graph._forest()[2] else -1
 
 
 def topology(graph: MoebiusGraph) -> TopologyProfile:

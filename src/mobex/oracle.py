@@ -117,10 +117,10 @@ class OracleReport(NamedTuple):
 def _loop_moment(beta: int, scale: Fraction, powers: Tuple[int, ...]) -> NPoly:
     """E[prod_l p_{j_l}] as a polynomial in N; powers sorted, each >= 1.
 
-    The full moments that eigenvalue_moment, dualchar's characteristic
-    polynomial sides and the Monte Carlo checks read.  It is also the
-    deliberate independent cross-check of _cumulant: the log of its moment
-    series is the cumulant series, and the tests compare the two.
+    eigenvalue_moment reads it at _C0[beta] only; the tests solve it at
+    other scales too, checking that rescaling.  It is also the deliberate
+    independent cross-check of _cumulant: the log of its moment series is
+    the cumulant series, and the tests compare the two.
     """
     if not powers:
         return NPoly.const(1)
@@ -210,9 +210,12 @@ def _cumulant(beta: int, scale: Fraction, powers: Tuple[int, ...]) -> NPoly:
 
 
 def eigenvalue_moment(query: MomentQuery) -> Fraction:
-    """E[prod_l p_{j_l}] under |Delta|**beta e^(-c sum k^2), exactly."""
+    """E[prod_l p_{j_l}] under |Delta|**beta e^(-c sum k^2), exactly: one moment
+    recursion per beta, at c0 = _C0[beta], times (c0/c)**e as in _cumulant."""
     powers = tuple(sorted(query.powers))
-    return _loop_moment(query.beta, query.scale, powers).eval_N(query.n)
+    c0 = _C0[query.beta]
+    return (_loop_moment(query.beta, c0, powers).eval_N(query.n)
+            * (c0 / query.scale) ** (sum(powers) // 2))
 
 
 # -- the paper's matrix X = sum_u U_u (x) B_u, exactly ----------------------------------

@@ -326,8 +326,12 @@ def test_pairing_sum_matches_catalog():
     # exact per-profile certificate: a class missing from the catalog would
     # leave a strictly positive gap (all weights are positive)
     # every profile of up to 10 half-edges, where the walk's first-token
-    # cuts remove the most streams, and two of 12
-    profiles = list(all_profiles(5)) + [(4, 4, 4), (3, 3, 3, 3)]
+    # cuts remove the most streams, two of 12, and five at the default
+    # 16 half-edge budget whose classes are mostly unions of repeated
+    # components, composed from the first component and the rest
+    profiles = list(all_profiles(5)) + [(4, 4, 4), (3, 3, 3, 3), (1,) * 16, (2,) * 8,
+                                        (2,) * 4 + (1,) * 8, (2,) * 5 + (1,) * 6,
+                                        (3, 3, 2, 2, 2, 1, 1, 1, 1)]
     for profile in profiles:
         lhs = labeled_pairing_sum(list(profile))
         rhs = NPoly.zero()
@@ -514,6 +518,13 @@ def test_disconnected_composition():
     assert len(pair_classes) == 3
     auts = sorted(e.aut_moebius for e in pair_classes)
     assert auts == [16, 32, 32]  # mixed pair 4*4, identical pairs 4*4*2!
+    # three loops: a copy repeated m = 3 times brings 3!, twice 2!
+    triples = [e for e in enumerate_graphs({2: 3}, connected_only=False)
+               if e.code.count(b"|") == 2]
+    assert sorted(e.aut_moebius for e in triples) == [128, 128, 384, 384]
+    # only the all-untwisted union is orientable: 3! * 2**3
+    assert [(any(e.graph.twists), e.aut_ribbon) for e in triples
+            if e.aut_ribbon is not None] == [(False, 48)]
 
 
 def test_flip_subsets_normalize_iff_orientable():

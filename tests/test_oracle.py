@@ -104,6 +104,17 @@ def test_cumulants_off_the_kernel_scale_are_the_log_of_the_moments(beta, scale):
         assert log_z.coefficient(monomial) == _cumulant(beta, scale, monomial) * weight, monomial
 
 
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_eigenvalue_moment_rescales_the_kernel_scale_moments(beta):
+    # eigenvalue_moment solves the moments once, at _C0[beta], and rescales
+    # them by (c0 / scale)**e; here they are solved at the scale itself
+    for scale in (Fraction(1), Fraction(3, 7), Fraction(5, 2)):
+        for monomial in iter_monomials(8):
+            for n in (1, 3):
+                query = MomentQuery(beta, n, monomial[::-1], scale)
+                assert eigenvalue_moment(query) == _loop_moment(beta, scale, monomial).eval_N(n)
+
+
 def test_goe_gse_duality_one_connected_correlator_at_a_time():
     # at c = 1/4, kappa^{beta=4}(J)(N) = (-2)**(e-n) kappa^{beta=1}(J)(-2N) for a
     # monomial J of n parts and e edges: column by column in N**(e-n+chi), that is

@@ -1,6 +1,7 @@
 """Smoke tests: every experiment script and every CLI subcommand parses --help,
-and the census script runs end to end."""
+and every experiment script runs end to end."""
 
+import json
 import os
 import re
 import runpy
@@ -20,23 +21,49 @@ def test_scripts_exist():
     assert SCRIPTS
 
 
+def _run(*args) -> str:
+    """stdout of ``python *args`` run from the checkout's src, after exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode()
+
+
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
 def test_script_help(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(script), "--help"], env=env,
-                          capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert b"usage" in proc.stdout
+    assert "usage" in _run(str(script), "--help")
 
 
 def test_census_smoke_run():
     # builds every connected catalog to e = 3 and runs the pairing-sum check
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "census.py"),
-                           "--max-edges", "3"], env=env, capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.strip()
-    assert b"-> True" in proc.stdout
+    out = _run(str(ROOT / "scripts" / "census.py"), "--max-edges", "3")
+    assert out.strip()
+    assert "-> True" in out
+
+
+def test_duality_report_runs():
+    out = _run(str(ROOT / "scripts" / "duality_report.py"), "--max-degree", "4")
+    rows = [line for line in out.splitlines() if line.startswith("  t_")]
+    assert rows and all(line.endswith("== dual") for line in rows)
+    assert "self-dual: True" in out
+
+
+def test_penner_tables_runs():
+    out = _run(str(ROOT / "scripts" / "penner_tables.py"), "--order", "3")
+    sides = [line.split(":", 1)[1].strip() for line in out.splitlines()
+             if line.startswith(("graph sum at order z", "closed form at order z"))]
+    assert len(sides) == 2 and sides[0] == sides[1]
+    gaps = [line for line in out.splitlines() if line.startswith("duality gap")]
+    assert gaps and all(line.endswith(": 0") for line in gaps)
+
+
+def test_graph_examples_agree_under_mu(tmp_path):
+    _run(str(ROOT / "scripts" / "make_graph_examples.py"), "--out-dir", str(tmp_path))
+    examples = sorted(tmp_path.glob("*.json"))
+    assert examples
+    for path in examples:
+        report = json.loads(_run("-m", "mobex", "mu", "--graph", str(path), "--beta", "4"))
+        assert report["agree"] is True, path.name
 
 
 def test_census_exits_4_on_a_pairing_sum_mismatch(monkeypatch, capsys):
@@ -77,13 +104,10 @@ PARSERS = sorted(build_parser()._subparsers._group_actions[0].choices)
 
 @pytest.mark.parametrize("sub", PARSERS)
 def test_cli_subcommand_help(sub):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-m", "mobex", *sub.split(), "--help"], env=env,
-                          capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.startswith(b"usage: mobex " + sub.encode())
+    out = _run("-m", "mobex", *sub.split(), "--help")
+    assert out.startswith("usage: mobex " + sub)
     listed = {flag for flag in SHARED_OPTIONS
-              if re.search(r"(?<![\w-])%s(?![\w-])" % flag, proc.stdout.decode())}
+              if re.search(r"(?<![\w-])%s(?![\w-])" % flag, out)}
     assert listed == SUBCOMMAND_OPTIONS[sub]
 
 
