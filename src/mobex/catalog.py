@@ -60,8 +60,8 @@ from math import factorial, lgamma, log, log10, prod
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import HALF_EDGE_BUDGET, BudgetError, StructuralError, UsageError, figure
-from .graphs import (MoebiusGraph, TopologyProfile, _graph_arrays, _topology, flip_vertex,
-                     orientability, topology)
+from .graphs import (MoebiusGraph, TopologyProfile, _graph_arrays, _surface, _topology,
+                     flip_vertex, orientability)
 from .npoly import NPoly
 
 ProfileKey = Tuple[int, ...]  # valence multiset, sorted descending
@@ -571,8 +571,19 @@ def _full_catalog(key: ProfileKey) -> Tuple[GraphCatalogEntry, ...]:
                               else m * first.aut_ribbon * tail.aut_ribbon)
                     graph = _disjoint_union([first.graph, tail.graph])
                     aut = m * first.aut_moebius * tail.aut_moebius
-                    out[code] = GraphCatalogEntry(graph, code, aut, ribbon, topology(graph))
+                    out[code] = GraphCatalogEntry(graph, code, aut, ribbon,
+                                                  _union_surface(first.topology, tail.topology))
     return tuple(out[c] for c in sorted(out))
+
+
+def _union_surface(a: TopologyProfile, b: TopologyProfile) -> TopologyProfile:
+    """The surface of two disjoint graphs, read off theirs.
+
+    v, e, f, chi and both profiles add; the union is orientable iff both are.
+    """
+    return _surface(Counter(dict(a.v_profile)) + Counter(dict(b.v_profile)),
+                    Counter(dict(a.f_profile)) + Counter(dict(b.f_profile)),
+                    min(a.natural, b.natural))
 
 
 def _disjoint_union(parts: Sequence[MoebiusGraph]) -> MoebiusGraph:

@@ -145,15 +145,34 @@ def _jsonable(obj):
         return "<unrenderable %s>" % type(obj).__name__
 
 
-def _emit(data, fmt: str = "json", table_rows=None) -> None:
+def _emit(data, fmt: str = "json", header=(), rows=()) -> None:
+    """Print ``data`` as JSON, or ``rows`` under ``header`` as a table or CSV.
+
+    A top-level list, or any iterator of records, is written one record at
+    a time: each is encoded alone and indented one level, so the document
+    is never held whole, and the bytes are those of
+    ``print(json.dumps(list(data), indent=2, sort_keys=True))``.  ``data``
+    and ``rows`` may be generators: only the one printed is run.
+    """
     if fmt == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
+        if isinstance(data, (dict, str)) or not hasattr(data, "__iter__"):
+            print(json.dumps(data, indent=2, sort_keys=True))
+            return
+        write, encode = sys.stdout.write, json.JSONEncoder(indent=2, sort_keys=True).encode
+        opening = "[\n  "
+        for record in data:
+            write(opening)
+            write(encode(record).replace("\n", "\n  "))
+            opening = ",\n  "
+        write("[]\n" if opening == "[\n  " else "\n]\n")
         return
-    header, rows = table_rows
     if fmt == "csv":  # quoted where a cell holds a comma or a quote, as JSON cells do
         import csv
-        csv.writer(sys.stdout, lineterminator="\n").writerows([header] + rows)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
         return
+    rows = list(rows)
     widths = [max(len(str(x)) for x in [h] + [r[i] for r in rows] or [h])
               for i, h in enumerate(header)]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
@@ -179,16 +198,15 @@ def _cmd_graphs(args: argparse.Namespace) -> None:
     entries = catalog.enumerate_graphs(
         args.profile, connected_only=args.connected,
         half_edge_budget=_budget(args, "half_edge_budget"))
-    data = [{"code": entry.code.decode(), "aut_moebius": entry.aut_moebius,
-             "aut_ribbon": entry.aut_ribbon, "topology": _topology_json(entry.topology),
-             "rotations": [list(r) for r in entry.graph.rotations],
-             "edges": [list(e) for e in entry.graph.edges],
-             "twists": [bool(t) for t in entry.graph.twists]} for entry in entries]
-    rows = [[entry.topology.v, entry.topology.e, entry.topology.f, entry.topology.chi,
+    records = ({"code": entry.code.decode(), "aut_moebius": entry.aut_moebius,
+                "aut_ribbon": entry.aut_ribbon, "topology": _topology_json(entry.topology),
+                "rotations": [list(r) for r in entry.graph.rotations],
+                "edges": [list(e) for e in entry.graph.edges],
+                "twists": [bool(t) for t in entry.graph.twists]} for entry in entries)
+    rows = ([entry.topology.v, entry.topology.e, entry.topology.f, entry.topology.chi,
              "yes" if entry.topology.natural == 1 else "no",
-             entry.aut_moebius, entry.aut_ribbon or "-"] for entry in entries]
-    _emit(data, args.format,
-          (["v", "e", "f", "chi", "orientable", "aut", "aut_ribbon"], rows))
+             entry.aut_moebius, entry.aut_ribbon or "-"] for entry in entries)
+    _emit(records, args.format, ["v", "e", "f", "chi", "orientable", "aut", "aut_ribbon"], rows)
 
 
 def _cmd_expand(args: argparse.Namespace) -> None:
@@ -198,10 +216,10 @@ def _cmd_expand(args: argparse.Namespace) -> None:
                               half_edge_budget=_budget(args, "half_edge_budget"),
                               threads=args.threads)
     # expansion order, as the monomials are generated, not sorted
-    data = [{"monomial": list(m), "coeff": c.to_json()} for m, c in logz.terms.items()]
-    rows = [[" ".join("t%d" % j for j in rec["monomial"]),
-             json.dumps(rec["coeff"], sort_keys=True)] for rec in data]
-    _emit(data, args.format, (["monomial", "coefficient"], rows))
+    records = ({"monomial": list(m), "coeff": c.to_json()} for m, c in logz.terms.items())
+    rows = ([" ".join("t%d" % j for j in m), json.dumps(c.to_json(), sort_keys=True)]
+            for m, c in logz.terms.items())
+    _emit(records, args.format, ["monomial", "coefficient"], rows)
 
 
 def _cmd_mu(args: argparse.Namespace) -> None:
@@ -233,12 +251,12 @@ def _cmd_oracle(args: argparse.Namespace) -> None:
     reports = oracle.oracle_compare(args.beta, args.tag, args.max_degree, [args.n],
                                     budget=_budget(args, "oracle_budget"),
                                     half_edge_budget=_budget(args, "half_edge_budget"))
-    data = [{"monomial": list(r.monomial), "n": r.n,
-             "graph_sum": str(r.predicted), "oracle": str(r.exact),
-             "equal": r.equal} for r in reports]
-    rows = [[" ".join("t%d" % j for j in r.monomial), r.n,
-             str(r.predicted), str(r.exact), r.equal] for r in reports]
-    _emit(data, args.format, (["monomial", "n", "graph_sum", "oracle", "equal"], rows))
+    records = ({"monomial": list(r.monomial), "n": r.n,
+                "graph_sum": str(r.predicted), "oracle": str(r.exact),
+                "equal": r.equal} for r in reports)
+    rows = ([" ".join("t%d" % j for j in r.monomial), r.n,
+             str(r.predicted), str(r.exact), r.equal] for r in reports)
+    _emit(records, args.format, ["monomial", "n", "graph_sum", "oracle", "equal"], rows)
 
 
 def _cmd_oracle_mc(args: argparse.Namespace) -> None:
@@ -276,10 +294,9 @@ def _cmd_penner(args: argparse.Namespace) -> None:
         _refuse_unprintable("penner --model %s --order %d" % (args.model, args.order),
                             value, power, power * log10(power) + 2)
     zs = closed_form(args.order, value)
-    _emit(zs.to_json(), args.format,
-          (["z^m", "coefficient"],
-           [["z^%d" % m, json.dumps(zs.coeffs[m].to_json(), sort_keys=True)]
-            for m in sorted(zs.coeffs)]))
+    _emit(zs.to_json(), args.format, ["z^m", "coefficient"],
+          (["z^%d" % m, json.dumps(zs.coeffs[m].to_json(), sort_keys=True)]
+           for m in sorted(zs.coeffs)))
 
 
 def _cmd_penner_euler(args: argparse.Namespace) -> None:
@@ -295,10 +312,9 @@ def _cmd_charpoly(args: argparse.Namespace) -> None:
     side = dualchar.charpoly_lhs if args.side == "lhs" else dualchar.charpoly_rhs
     lam = side(args.ensemble, args.max_degree,
                half_edge_budget=_budget(args, "half_edge_budget"))
-    _emit(lam.to_json(), args.format,
-          (["monomial", "coefficient"],
-           [[" ".join("tau%d" % j for j in key), json.dumps(val.to_json(), sort_keys=True)]
-            for key, val in sorted(lam.terms.items())]))
+    _emit(lam.to_json(), args.format, ["monomial", "coefficient"],
+          ([" ".join("tau%d" % j for j in key), json.dumps(val.to_json(), sort_keys=True)]
+           for key, val in sorted(lam.terms.items())))
 
 
 def _cmd_charpoly_verify(args: argparse.Namespace) -> None:
@@ -327,9 +343,8 @@ def _cmd_clt(args: argparse.Namespace) -> None:
                                 half_edge_budget=half_edges)
         data["verified"] = report.equal
         data["matched_pairs"] = report.matched
-    _emit(data, args.format,
-          (["j1 j2", "coefficient"],
-           [["%d %d" % pair, str(val)] for pair, val in result.quadratic_form]))
+    _emit(data, args.format, ["j1 j2", "coefficient"],
+          (["%d %d" % pair, str(val)] for pair, val in result.quadratic_form))
 
 
 def _cmd_duality(args: argparse.Namespace) -> None:

@@ -252,10 +252,14 @@ def _topology(valences, succ, pred, vertex_of, partner, edge_of, twists, natural
     """The surface of the arrays' graph, given its orientability ``natural``."""
     faces = [len(walk) for walk in _face_walks(valences, succ, pred, vertex_of, partner,
                                                  edge_of, twists)]
+    return _surface(Counter(valences), Counter(faces), natural)
 
-    v = len(valences)
-    e = len(partner) // 2
-    f = len(faces)
+
+def _surface(v_counts: Counter, f_counts: Counter, natural: int) -> TopologyProfile:
+    """The surface with these vertex and face degree counts and orientability."""
+    v = sum(v_counts.values())
+    e = sum(j * c for j, c in v_counts.items()) // 2
+    f = sum(f_counts.values())
     chi = v - e + f
     sharp = -1 if chi % 2 else 1
     sigma = (1 + sharp) // 2 - natural
@@ -263,8 +267,8 @@ def _topology(valences, succ, pred, vertex_of, partner, edge_of, twists, natural
 
     prof = TopologyProfile(
         v=v, e=e, f=f,
-        v_profile=tuple(sorted(Counter(valences).items())),
-        f_profile=tuple(sorted(Counter(faces).items())),
+        v_profile=tuple(sorted(v_counts.items())),
+        f_profile=tuple(sorted(f_counts.items())),
         chi=chi, natural=natural, sharp=sharp, sigma=sigma, genus=genus)
     prof.check()
     return prof

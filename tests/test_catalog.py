@@ -189,6 +189,14 @@ def test_catalog_entries_are_canonical_and_sorted():
                 assert e.aut_ribbon is None
 
 
+def test_union_surfaces_match_the_face_walk():
+    # a union's surface is read off its parts; walk the union graph itself
+    profiles = list(all_profiles(5)) + [(2,) * 5 + (1,) * 6, (3, 3, 2, 2, 2, 1, 1, 1, 1)]
+    for profile in profiles:
+        for e in enumerate_graphs(list(profile), connected_only=False):
+            assert topology(e.graph) == e.topology, (profile, e.code)
+
+
 def test_census_matches_the_graph_modules_topology():
     # the census reads each surface off the generating walk; rebuild every
     # class's representative and key it by the graph module's own route
@@ -257,17 +265,24 @@ def test_pairing_sum_is_the_wick_moment():
     # moment E[prod_j p_j] of GOE (GUE) is the labelled pairing sum of that
     # valence multiset times its layout symmetry order, 2**v prod_j
     # j**m_j m_j! with twists (prod_j j**m_j m_j! without)
+    for profile in all_profiles(6):
+        assert labeled_pairing_sum(list(profile)) == wick_pairing_sum(profile), profile
+        assert (labeled_pairing_sum(list(profile), mode="ribbon")
+                == wick_pairing_sum(profile, "ribbon")), profile
+
+
+def wick_pairing_sum(profile, mode="moebius"):
+    """The labelled pairing sum from Wick's theorem: the GOE (GUE) loop
+    moment at Gaussian scale beta/4 over the layout symmetry order."""
     from mobex.oracle import _loop_moment
 
-    for profile in all_profiles(6):
-        order = 1
-        for j, count in Counter(profile).items():
-            order *= j ** count * factorial(count)
-        powers = tuple(sorted(profile))
-        moebius = _loop_moment(1, Fraction(1, 4), powers) * Fraction(1, order << len(profile))
-        ribbon = _loop_moment(2, Fraction(1, 2), powers) * Fraction(1, order)
-        assert labeled_pairing_sum(list(profile)) == moebius, profile
-        assert labeled_pairing_sum(list(profile), mode="ribbon") == ribbon, profile
+    order = 1
+    for j, count in Counter(profile).items():
+        order *= j ** count * factorial(count)
+    powers = tuple(sorted(profile))
+    if mode == "moebius":
+        return _loop_moment(1, Fraction(1, 4), powers) * Fraction(1, order << len(profile))
+    return _loop_moment(2, Fraction(1, 2), powers) * Fraction(1, order)
 
 
 def first_choice_orbits(key, twist_bits):
@@ -328,16 +343,20 @@ def test_pairing_sum_matches_catalog():
     # every profile of up to 10 half-edges, where the walk's first-token
     # cuts remove the most streams, two of 12, and five at the default
     # 16 half-edge budget whose classes are mostly unions of repeated
-    # components, composed from the first component and the rest
-    profiles = list(all_profiles(5)) + [(4, 4, 4), (3, 3, 3, 3), (1,) * 16, (2,) * 8,
-                                        (2,) * 4 + (1,) * 8, (2,) * 5 + (1,) * 6,
-                                        (3, 3, 2, 2, 2, 1, 1, 1, 1)]
+    # components, composed from the first component and the rest; those
+    # past the Wick test's 12 half-edges, and (4,4,4), meet Wick's loop
+    # moment too
+    wick = [(4, 4, 4), (1,) * 16, (2,) * 8, (2,) * 4 + (1,) * 8, (2,) * 5 + (1,) * 6,
+            (3, 3, 2, 2, 2, 1, 1, 1, 1)]
+    profiles = list(all_profiles(5)) + [(3, 3, 3, 3)] + wick
     for profile in profiles:
         lhs = labeled_pairing_sum(list(profile))
         rhs = NPoly.zero()
         for e in enumerate_graphs(list(profile), connected_only=False):
             rhs = rhs + NPoly.N(e.topology.f) * Fraction(1, e.aut_moebius)
         assert lhs == rhs, profile
+        if profile in wick:
+            assert lhs == wick_pairing_sum(profile), profile
 
 
 def connected_pairings(key):

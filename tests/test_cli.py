@@ -1,14 +1,19 @@
 import argparse
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobex import cli, oracle, series, sprinkle
 from mobex.dualchar import CharpolyReport
@@ -144,6 +149,88 @@ def test_expand_matches_golden_file(capsys, name):
     code, out, _ = run_cli(capsys, *GOLDEN_CASES[name])
     assert code == 0
     assert out == golden.read_text()
+
+
+# golden_cli/<file> -> argv: table, CSV and empty-list outputs, written before
+# the JSON writer streamed its records
+GOLDEN_FILES = {
+    "graphs_3-2_4-1.table.txt": "graphs --profile 3:2,4:1 --format table",
+    "graphs_3-2_4-1.csv": "graphs --profile 3:2,4:1 --format csv",
+    "expand_invariant_d6.csv": "expand --tag invariant --max-degree 6 --format csv",
+    "oracle_b1_n2_d1_empty.json": "oracle --beta 1 --n 2 --max-degree 1",
+    "charpoly_gue_lhs_d0_empty.json": "charpoly --max-degree 0",
+}
+# golden_cli/digests.json: argv line -> size and SHA-256 of outputs too large to keep
+GOLDEN_DIGESTS = json.loads((Path(__file__).parent / "golden_cli" / "digests.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FILES))
+def test_output_matches_golden_file(capsys, name):
+    golden = Path(__file__).parent / "golden_cli" / name
+    code, out, _ = run_cli(capsys, *GOLDEN_FILES[name].split())
+    assert code == 0
+    assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("line", sorted(GOLDEN_DIGESTS))
+def test_output_matches_golden_digest(capsys, line):
+    code, out, _ = run_cli(capsys, *line.split())
+    text = out.encode()
+    assert code == 0
+    digest = {"bytes": len(text), "sha256": hashlib.sha256(text).hexdigest()}
+    assert digest == GOLDEN_DIGESTS[line]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=16)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(JSON_VALUES, max_size=5) | JSON_VALUES)
+def test_streamed_emit_prints_the_json_dumps_bytes(data):
+    expected = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    sources = [data] + ([iter(data)] if isinstance(data, list) else [])
+    for source in sources:  # a list, and the same records from an iterator
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            cli._emit(source)
+        assert buffer.getvalue() == expected
+
+
+class _CountingSink(io.TextIOBase):
+    """A stdout that counts the characters it is given and keeps none."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = 0
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+def test_graphs_output_is_rendered_in_bounded_memory():
+    # a first run builds the catalog and the parser; the traced second run
+    # holds only what rendering costs, which must not grow with the document
+    argv = ["graphs", "--profile", "6:2"]
+    with contextlib.redirect_stdout(_CountingSink()):
+        assert cli.main(argv) == 0
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written > 2_000_000
+    assert peak < sink.written / 10, (peak, sink.written)
 
 
 def test_expand_usage_error(capsys):

@@ -81,6 +81,49 @@ def test_census_exits_4_on_a_pairing_sum_mismatch(monkeypatch, capsys):
     assert "-> False" in capsys.readouterr().out
 
 
+def _exit_code(monkeypatch, script: str, *args) -> int:
+    monkeypatch.setattr(sys, "argv", [script, *args])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(ROOT / "scripts" / script), run_name="__main__")
+    return exit_info.value.code
+
+
+def test_duality_report_exits_4_when_a_term_is_not_self_dual(monkeypatch, capsys):
+    from mobex import series
+    from mobex.cli import EXIT_VERIFY
+
+    real = series.apply_duality
+
+    def broken(inv):  # doubles the first term of the image
+        dual = real(inv).copy()
+        key = min(dual.terms)
+        dual.terms[key] = dual.terms[key] + dual.terms[key]
+        return dual
+
+    monkeypatch.setattr(series, "apply_duality", broken)
+    assert _exit_code(monkeypatch, "duality_report.py", "--max-degree", "2") == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "!= dual" in out and "self-dual: False" in out
+
+
+@pytest.mark.parametrize("broken", ["graph side", "duality gap"])
+def test_penner_tables_exits_4_on_a_failed_check(monkeypatch, capsys, broken):
+    from mobex import penner
+    from mobex.cli import EXIT_VERIFY
+    from mobex.npoly import NPoly
+
+    def shifted(fn):  # adds N to the z coefficient of fn's series
+        def wrapper(*args):
+            zs = fn(*args)
+            return zs + penner.ZSeries(zs.order, {1: NPoly.N(1)})
+        return wrapper
+
+    name = {"graph side": "gse_penner_zseries", "duality gap": "extended_duality_gap"}[broken]
+    monkeypatch.setattr(penner, name, shifted(getattr(penner, name)))
+    assert _exit_code(monkeypatch, "penner_tables.py", "--order", "2") == EXIT_VERIFY
+    assert capsys.readouterr().out.strip()
+
+
 # each parser's shared options: exactly those its runner reads
 SUBCOMMAND_OPTIONS = {
     "graphs": {"--format", "--half-edge-budget"},
