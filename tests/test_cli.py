@@ -604,6 +604,22 @@ def test_closed_stdout_pipe_exits_141():
     assert len(lines) == 1 and json.loads(lines[0])["code"] == cli.EXIT_PIPE
 
 
+def test_stdout_closed_mid_stream_exits_141():
+    # 190 KB of records, more than a pipe holds: the reader leaves after the first bytes
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "mobex", "graphs", "--profile", "5:2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(100).startswith(b"[\n  {")
+        proc.stdout.close()
+        err = proc.stderr.read()
+    finally:
+        proc.wait(timeout=120)
+    assert proc.returncode == cli.EXIT_PIPE
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == cli.EXIT_PIPE
+
+
 def test_missing_input_file_is_structural(tmp_path, capsys):
     code, out, err = run_cli(capsys, "mu", "--graph", str(tmp_path / "none.json"),
                              "--beta", "1")
