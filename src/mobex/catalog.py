@@ -40,14 +40,11 @@ streams under the positive-flag one.  Each winner's surface is read off
 the walk's arrays, so ``census`` sums 1/|Aut| by surface with no graph
 built; only the per-class outputs (``enumerate_graphs``) rebuild one
 representative graph per class.  The labelled pairing sum (both
-modes) sums over every labelled gluing on one depth-first gluing tree,
-memoized on the open-path state so that gluings reaching the same state
-share their completions, and never canonicalizes; it counts faces by
-joining the face map's open paths edge by edge, independently of the
-graph module's face walk.  Its first edge is tried
-once per orbit of the layout symmetries that fix half-edge 0, the
-gluings below counting the orbit's size, since those symmetries keep
-face counts.  It and the tests' own matching sweeps are the independent
+modes) sums over every labelled gluing on one memoized depth-first
+gluing tree, one partner per orbit of the symmetries that fix a node
+(``_partners``), and never canonicalizes; it counts faces by joining the
+face map's open paths edge by edge, independently of the graph module's
+face walk.  It and the tests' own matching sweeps are the independent
 routes the catalogs are checked against.
 """
 
@@ -655,30 +652,36 @@ def _census(key: ProfileKey, mode: str) -> Tuple[Tuple[TopologyProfile, Fraction
 
 # -- labelled pairing sums ------------------------------------------------------
 
-def _first_edges(key: ProfileKey, twist_bits: Tuple[int, ...]
-                 ) -> List[Tuple[int, Tuple[int, ...], int]]:
-    """(b, twists, size): one first edge (0, b) at each of ``twists`` per orbit
-    of the layout symmetries that fix half-edge 0, with the orbit's size.
+def _partners(a: int, rotations, vertex_of, free, twist_bits: Tuple[int, ...]
+              ) -> List[Tuple[int, Tuple[int, ...], int]]:
+    """(b, twists, weight): a's partners and twists, one per orbit of the
+    layout symmetries that fix the partial gluing and a (the smallest free
+    half-edge), each counting its orbit's size.
 
-    Those symmetries relabel, rotate and (with twists) flip the other
-    vertices, which carries an edge to a vertex of valence j onto every
-    half-edge of every other vertex of valence j, at each allowed twist.
-    With twists vertex 0 also reflects through half-edge 0 (a flip, then a
-    rotation), which sends the loop (0, k) to (0, j0 - k) and keeps its
-    twist, since a flip toggles a loop at both ends.
+    A vertex is fresh if all its half-edges are free.  Relabelling,
+    rotating and (with twists) flipping the fresh vertices other than a's
+    moves an edge to one of valence w onto every half-edge of each, at
+    every twist: it is tried once, at the first, untwisted.  With twists a
+    fresh vertex of a's reflects through a (a flip, then a rotation),
+    pairing the loop (a, a + k) with (a, a + w - k) and toggling the twist
+    of an edge to any other vertex.  Every other choice is its own orbit.
     """
-    j0 = key[0]
-    if len(twist_bits) == 1:  # no flips: each loop (0, k) is an orbit of its own
-        firsts = [(k, twist_bits, 1) for k in range(1, j0)]
-    else:  # vertex 0's reflection pairs the loop (0, k) with (0, j0 - k)
-        firsts = [(k, twist_bits, 1 if 2 * k == j0 else 2) for k in range(1, j0 // 2 + 1)]
-    start = 0
-    for j, count in profile_dict(key).items():
-        others = count - (j == j0)
-        if others:
-            firsts.append((start + j0 * (j == j0), (0,), others * j * len(twist_bits)))
-        start += j * count
-    return firsts
+    v = vertex_of[a]
+    rot = rotations[v]
+    w = len(rot)
+    if a == rot[0] and len(twist_bits) == 2 and False not in free[a:a + w]:
+        partners = [(a + k, twist_bits, 1 if 2 * k == w else 2) for k in range(1, w // 2 + 1)]
+        bits, weight = (0,), 2
+    else:
+        partners = [(h, twist_bits, 1) for h in rot[a - rot[0] + 1:] if free[h]]
+        bits, weight = twist_bits, 1
+    fresh: Dict[int, List[int]] = {}  # valence: [first half-edge, count]
+    for other in rotations[v + 1:]:
+        if False in free[other[0]:other[0] + len(other)]:
+            partners += [(h, bits, weight) for h in other if free[h]]
+        else:
+            fresh.setdefault(len(other), [other[0], 0])[1] += 1
+    return partners + [(b, (0,), count * j * len(twist_bits)) for j, (b, count) in fresh.items()]
 
 
 def labeled_pairing_sum(profile, mode: str = "moebius",
@@ -708,13 +711,13 @@ def labeled_pairing_sum(profile, mode: str = "moebius",
     below: leaves}, which each prefix reaching it shifts by the cycles it
     closed and scales by its weight.
 
-    The first level is folded: half-edge 0's partner and twist are tried
-    once per orbit of the layout symmetries that fix half-edge 0
-    (``_first_edges``), and each leaf below counts that orbit's size.
-    This is exact because such a symmetry maps the gluings whose first
-    edge is (0, b, t) one-to-one onto those whose first edge is its image,
-    and keeps each one's face count (relabelling, rotation and
-    ``flip_vertex`` all preserve faces).
+    Every node is folded: a's partner and twist are tried once per orbit
+    of the layout symmetries that fix the partial gluing and a
+    (``_partners``), and each leaf below counts the orbit's size.  This is
+    exact because such a symmetry maps the gluings below one choice
+    one-to-one onto those below its image and keeps each one's face count
+    (relabelling, rotation and ``flip_vertex`` all preserve faces).  The
+    orbits read only the free set, so they are a function of the state.
 
     A deliberate independent route: it never canonicalizes and counts
     faces without ``_face_walks``, so the pairing-sum and orbit-stabilizer
@@ -724,32 +727,27 @@ def labeled_pairing_sum(profile, mode: str = "moebius",
     key = _budgeted_key(profile, half_edge_budget, mode)
     twist_bits = _TWIST_BITS[mode]
     n = sum(key)
-    _, succ, pred, _ = _layout(key)
+    rotations, succ, pred, vertex_of = _layout(key)
     to_succ = [2 * succ[h] for h in range(n)]
     to_pred = [2 * pred[h] + 1 for h in range(n)]
     head = list(range(2 * n))  # at a path's last state: its first state
     tail = list(range(2 * n))  # at a path's first state: its last state
-    free = [True] * n
-    memo: Dict[Tuple[int, ...], Dict[int, int]] = {}
+    free = [True] * (n + 1)  # free[n]: a sentinel, so a full gluing finds a = n
+    memo: Dict[Tuple[int, ...], Dict[int, int]] = {(): {0: 1}}
 
-    def completions(left: int) -> Dict[int, int]:
+    def completions() -> Dict[int, int]:
         """{cycles closed below: leaves} over the completions of the current
         partial gluing, shared by every prefix that reaches its state."""
-        c = free.index(True)
-        state = tuple([head[x] if free[x >> 1] else -1 for x in range(2 * c, 2 * n)])
-        found = memo.get(state)
-        if found is None:
-            found = memo[state] = glue(c, left, [(d, twist_bits, 1)
-                                                 for d in range(c + 1, n) if free[d]])
-        return found
-
-    def glue(a: int, left: int, choices) -> Dict[int, int]:
-        """{cycles closed: leaves} over the gluings that pair a with each
-        (b, twists, weight) of ``choices``, each leaf counting ``weight``."""
-        tally: Dict[int, int] = {}
+        a = free.index(True)
+        state = tuple([head[x] if free[x >> 1] else -1 for x in range(2 * a, 2 * n)])
+        tally = memo.get(state)
+        if tally is not None:
+            return tally
+        tally = memo[state] = {}
+        partners = _partners(a, rotations, vertex_of, free, twist_bits)
         free[a] = False
         sa, pa = to_succ[a], to_pred[a]
-        for b, bits, weight in choices:
+        for b, bits, weight in partners:
             free[b] = False
             sb, pb = to_succ[b], to_pred[b]
             for t in bits:
@@ -766,7 +764,7 @@ def labeled_pairing_sum(profile, mode: str = "moebius",
                         tail[first] = last
                         head[last] = first
                         joined.append((x, y))
-                for cycles, leaves in (completions(left - 2) if left > 2 else {0: 1}).items():
+                for cycles, leaves in completions().items():
                     cycles += closed
                     tally[cycles] = tally.get(cycles, 0) + weight * leaves
                 for x, y in reversed(joined):
@@ -776,7 +774,7 @@ def labeled_pairing_sum(profile, mode: str = "moebius",
         free[a] = True
         return tally
 
-    tally = glue(0, n, _first_edges(key, twist_bits))
+    tally = completions()
     if any(cycles & 1 for cycles in tally):
         raise StructuralError("face walk is its own mirror; invalid twist data")
     denom = 1

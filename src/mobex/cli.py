@@ -19,7 +19,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import log10
+from math import lgamma, log, log10, pi
 from typing import List, Optional
 
 from .errors import (HALF_EDGE_BUDGET, MU_ASSIGNMENT_BUDGET, ORACLE_DEGREE_BUDGET, TAGS,
@@ -302,8 +302,22 @@ def _cmd_penner(args: argparse.Namespace) -> None:
 def _cmd_penner_euler(args: argparse.Namespace) -> None:
     from . import penner
 
-    value = penner.real_moduli_euler(args.q, args.n)
-    _emit({"q": args.q, "n": args.n, "euler_characteristic": str(value)})
+    q, n = args.q, args.n
+    what = "penner euler --q %d --n %d" % (q, n)
+    if q == 0 and n > 1:  # chi = -1/(4n(n-1))
+        _refuse_unprintable(what, Fraction(1), 0, log10(4 * n * n))
+    elif q > 0 and n > 0:
+        # chi = (2**(2q-1) - 1) B_2q C(2q+n-2, n) / (4q(2q-1)) with |B_2q| < 4 (2q)! / (2 pi)**2q;
+        # q is capped at 10**100, below lgamma's float overflow and past every digit limit
+        m = 2 * min(q, 10 ** 100)
+        head = log10(2) + lgamma(m + 1) / log(10) - m * log10(pi)
+        _refuse_unprintable(what, Fraction(1), 0, head)
+        # von Staudt-Clausen: B_2q's denominator divides prod (d + 1) over the divisors d of 2q
+        tail = sum(log10(d + 1) for d in range(1, m + 1) if m % d == 0)
+        tail += sum(log10(n + k) - log10(k) for k in range(1, m - 1))  # C(2q+n-2, n)
+        _refuse_unprintable(what, Fraction(1), 0, max(head, log10(4 * q * m)) + tail)
+    value = penner.real_moduli_euler(q, n)
+    _emit({"q": q, "n": n, "euler_characteristic": str(value)})
 
 
 def _cmd_charpoly(args: argparse.Namespace) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial, prod
 from typing import TYPE_CHECKING, Dict, Optional
 
 from .errors import HALF_EDGE_BUDGET, StructuralError, UsageError
@@ -30,17 +30,22 @@ if TYPE_CHECKING:
 
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:
-    """b_n for t/(exp(t)-1) = sum b_n t**n / n!  (so b_1 = -1/2)."""
+    """b_n for t/(exp(t)-1) = sum b_n t**n / n!  (so b_1 = -1/2); b_2k from
+    the tangent number T_k, built in O(k**2) integer steps (Brent-Harvey)."""
     if n < 0:
         raise UsageError("Bernoulli index must be >= 0")
-    if n == 0:
-        return Fraction(1)
-    if n > 1 and n % 2:
+    if n < 2:
+        return Fraction(1) if n == 0 else Fraction(-1, 2)
+    if n % 2:
         return Fraction(0)
-    total = Fraction(0)
-    for k in range(n):
-        total += comb(n + 1, k) * bernoulli(k)
-    return -total / (n + 1)
+    k = n // 2
+    tangent = [0, 1] + [0] * (k - 1)  # T_0 .. T_k
+    for i in range(2, k + 1):
+        tangent[i] = (i - 1) * tangent[i - 1]
+    for i in range(2, k + 1):
+        for j in range(i, k + 1):
+            tangent[j] = (j - i) * tangent[j - 1] + (j - i + 2) * tangent[j]
+    return Fraction((-1) ** (k - 1) * n * tangent[k], 4 ** k * (4 ** k - 1))
 
 
 # -- z-series over Q[N] ----------------------------------------------------------
@@ -277,8 +282,10 @@ def real_moduli_euler(q: int, n: int) -> Fraction:
         raise UsageError("need q >= 0 and n > 0")
     if 1 - 2 * q - n >= 0:
         raise UsageError("hyperbolicity requires 1 - 2q - n < 0")
-    return (Fraction(1, 2) * factorial(2 * q + n - 2) * (Fraction(2) ** (2 * q - 1) - 1)
-            * bernoulli(2 * q) / (factorial(2 * q) * factorial(n)))
+    # (2q+n-2)!/n!: the falling product of its 2q - 2 factors, or 1/(n(n-1)) at q = 0
+    ratio = prod(range(n + 1, 2 * q + n - 1)) if q else Fraction(1, n * (n - 1))
+    return (Fraction(1, 2) * ratio * (Fraction(2) ** (2 * q - 1) - 1)
+            * bernoulli(2 * q) / factorial(2 * q))
 
 
 def real_moduli_graph_sum(q: int, n: int,

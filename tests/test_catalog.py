@@ -264,8 +264,8 @@ def test_pairing_sum_is_the_wick_moment():
     # Wick's theorem, with no graph built: at Gaussian scale beta/4 the
     # moment E[prod_j p_j] of GOE (GUE) is the labelled pairing sum of that
     # valence multiset times its layout symmetry order, 2**v prod_j
-    # j**m_j m_j! with twists (prod_j j**m_j m_j! without)
-    for profile in all_profiles(6):
+    # j**m_j m_j! with twists (prod_j j**m_j m_j! without), to 14 half-edges
+    for profile in all_profiles(7):
         assert labeled_pairing_sum(list(profile)) == wick_pairing_sum(profile), profile
         assert (labeled_pairing_sum(list(profile), mode="ribbon")
                 == wick_pairing_sum(profile, "ribbon")), profile
@@ -285,33 +285,39 @@ def wick_pairing_sum(profile, mode="moebius"):
     return _loop_moment(2, Fraction(1, 2), powers) * Fraction(1, order)
 
 
-def first_choice_orbits(key, twist_bits):
-    """Orbits of half-edge 0's first choices (b, t) under the layout
-    symmetries that fix half-edge 0, closed from their generators: a
+def first_choice_orbits(key, twist_bits, free):
+    """Orbits of the choices (b, t) for the smallest free half-edge a's
+    partner under the layout symmetries that fix the gluing of the
+    half-edges not in ``free`` and fix a, closed from their generators: a
     rotation, a flip (with twists) and a swap of equal-valence neighbours
-    among the other vertices, and with twists vertex 0's reflection
-    through half-edge 0."""
+    among the fresh vertices (all half-edges free, not a's), and with
+    twists, if a's vertex is fresh, its reflection through a."""
     from mobex.catalog import _blocks
 
     rotations = _blocks(key)
     where = {h: (v, i) for v, rot in enumerate(rotations) for i, h in enumerate(rot)}
     moebius = len(twist_bits) == 2
+    a = free.index(True)
+    home = where[a][0]
+    fresh = [v for v, rot in enumerate(rotations) if v != home and all(free[h] for h in rot)]
+    reflect = moebius and a == rotations[home][0] and all(free[h] for h in rotations[home])
 
     def images(b, t):
         v, i = where[b]
         rot = rotations[v]
-        if v == 0:  # a loop: the reflection toggles its twist twice
-            return [(rot[-i % len(rot)], t)] if moebius else []
-        out = [(rot[(i + 1) % len(rot)], t)]
-        if moebius:  # flip v; reflect vertex 0, which toggles the edge once
-            out += [(rot[-i % len(rot)], t ^ 1), (b, t ^ 1)]
-        for w in (v - 1, v + 1):
-            if 0 < w < len(rotations) and len(rotations[w]) == len(rot):
-                out.append((rotations[w][i], t))
+        out = []
+        if reflect:  # toggles a loop's twist twice, another edge's once
+            out.append((rot[-i % len(rot)], t) if v == home else (b, t ^ 1))
+        if v in fresh:
+            out.append((rot[(i + 1) % len(rot)], t))
+            if moebius:  # flip v
+                out.append((rot[-i % len(rot)], t ^ 1))
+            same = [u for u in fresh if len(rotations[u]) == len(rot)]
+            out.append((rotations[same[(same.index(v) + 1) % len(same)]][i], t))
         return out
 
     orbits = set()
-    for start in product(range(1, sum(key)), twist_bits):
+    for start in product([b for b in range(a + 1, sum(key)) if free[b]], twist_bits):
         orbit, todo = {start}, [start]
         while todo:
             for image in images(*todo.pop()):
@@ -322,19 +328,46 @@ def first_choice_orbits(key, twist_bits):
     return orbits
 
 
+def gluing_nodes(n, depth):
+    """Free masks of the gluing tree's nodes down to ``depth`` placed edges:
+    each step pairs the smallest free half-edge with a later free one."""
+    nodes = {(True,) * n}
+    frontier = set(nodes)
+    for _ in range(depth):
+        below = set()
+        for free in frontier:
+            if free.count(True) > 2:
+                a = free.index(True)
+                for b in range(a + 1, n):
+                    if free[b]:
+                        below.add(tuple(f and h not in (a, b) for h, f in enumerate(free)))
+        nodes |= below
+        frontier = below
+    return nodes
+
+
 def test_first_edge_orbits_partition_the_first_choices():
-    # the folded first level tries one (b, t) per orbit and counts its size
-    from mobex.catalog import _first_edges
+    # the partner rule tries one (b, t) per orbit and counts its size, at
+    # the root of every profile to 16 half-edges and at every node within
+    # two edges of it to 12, where a's vertex is fresh or already touched
+    from mobex.catalog import _layout, _partners
 
     for profile in all_profiles(8):
-        for twist_bits in ((0, 1), (0,)):
-            orbits = first_choice_orbits(profile, twist_bits)
-            chosen = [(b, t, size) for b, twists, size in _first_edges(profile, twist_bits)
-                      for t in twists]
-            hit = [next(o for o in orbits if (b, t) in o) for b, t, _ in chosen]
-            assert set(hit) == orbits and len(hit) == len(orbits), (profile, twist_bits)
-            assert [len(o) for o in hit] == [size for _, _, size in chosen], (profile, twist_bits)
-            assert sum(size for *_, size in chosen) == (sum(profile) - 1) * len(twist_bits)
+        rotations, _, _, vertex_of = _layout(profile)
+        n = sum(profile)
+        for free in gluing_nodes(n, 2 if n <= 12 else 0):
+            free = list(free)
+            for twist_bits in ((0, 1), (0,)):
+                orbits = first_choice_orbits(profile, twist_bits, free)
+                a = free.index(True)
+                chosen = [(b, t, weight) for b, twists, weight
+                          in _partners(a, rotations, vertex_of, free, twist_bits) for t in twists]
+                case = (profile, free, twist_bits)
+                hit = [next(o for o in orbits if (b, t) in o) for b, t, _ in chosen]
+                assert set(hit) == orbits and len(hit) == len(orbits), case
+                assert [len(o) for o in hit] == [weight for *_, weight in chosen], case
+                assert (sum(weight for *_, weight in chosen)
+                        == (free.count(True) - 1) * len(twist_bits)), case
 
 
 def test_pairing_sum_matches_catalog():

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -328,6 +329,26 @@ def test_penner_series_and_euler(capsys):
     code, out, _ = run_cli(capsys, "penner", "euler", "--q", "1", "--n", "1")
     assert code == 0
     assert json.loads(out)["euler_characteristic"] == "1/24"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-string limit")
+def test_penner_euler_at_large_q_and_n(capsys):
+    # (2q+n-2)!/n! is a product of 2q - 2 factors, not two factorials
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "penner", "euler", "--q", "1", "--n", "1000000")
+    assert code == 0 and json.loads(out)["euler_characteristic"] == "1/24"
+    assert time.perf_counter() - started < 0.5
+    # a value past Python's digit limit is refused before it is computed
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "penner", "euler", "--q", "1100", "--n", "2")
+    assert code == cli.EXIT_BUDGET and out == "" and len(err.splitlines()) == 1
+    limit = sys.get_int_max_str_digits()
+    assert "past Python's %d-digit limit" % limit in json.loads(err)["error"]
+    assert time.perf_counter() - started < 1
+    code, out, _ = run_cli(capsys, "penner", "euler", "--q", "800", "--n", "2")
+    assert code == 0
+    assert 3600 < len(json.loads(out)["euler_characteristic"]) < limit
 
 
 def test_charpoly_sides_and_verify(capsys):

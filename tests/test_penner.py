@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -23,6 +23,11 @@ def test_bernoulli_values():
     assert bernoulli(12) == Fraction(-691, 2730)
     with pytest.raises(UsageError):
         bernoulli(-1)
+    # the tangent-number route against the recurrence sum_k C(n+1, k) b_k = 0
+    reference = [Fraction(1)]
+    for n in range(1, 61):
+        reference.append(-sum(comb(n + 1, k) * b for k, b in enumerate(reference)) / (n + 1))
+    assert [bernoulli(n) for n in range(61)] == reference
 
 
 def test_K_alpha2_order_z():
@@ -181,6 +186,12 @@ def test_real_moduli_closed_form_values():
     assert real_moduli_euler(1, 1) == Fraction(1, 24)
     with pytest.raises(UsageError):
         real_moduli_euler(0, 1)  # 1 - 2q - n = 0 violates hyperbolicity
+    # (2q+n-2)!/n! as a falling product equals the factorial formula
+    for q in range(11):
+        for n in range(max(1, 2 - 2 * q), 31):
+            assert real_moduli_euler(q, n) == (
+                Fraction(1, 2) * factorial(2 * q + n - 2) * (Fraction(2) ** (2 * q - 1) - 1)
+                * bernoulli(2 * q) / (factorial(2 * q) * factorial(n))), (q, n)
 
 
 def test_real_moduli_graph_sum_small():

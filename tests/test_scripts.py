@@ -35,7 +35,7 @@ def test_script_help(script):
 
 
 def test_census_smoke_run():
-    # builds every connected catalog to e = 3 and runs the pairing-sum check
+    # builds every connected catalog to e = 3 and runs the pairing-sum and Wick checks
     out = _run(str(ROOT / "scripts" / "census.py"), "--max-edges", "3")
     assert out.strip()
     assert "-> True" in out
@@ -67,18 +67,25 @@ def test_graph_examples_agree_under_mu(tmp_path):
 
 
 def test_census_exits_4_on_a_pairing_sum_mismatch(monkeypatch, capsys):
-    from mobex import catalog
+    # the pairing sum shifted off the catalog, then Wick's moment off the
+    # other two (zero: a shifted real one would fill its cache wrongly)
+    from mobex import catalog, oracle
     from mobex.cli import EXIT_VERIFY
     from mobex.npoly import NPoly
 
     real = catalog.labeled_pairing_sum
-    monkeypatch.setattr(catalog, "labeled_pairing_sum",
-                        lambda profile, *args, **kwargs: real(profile) + NPoly.N(1))
-    monkeypatch.setattr(sys, "argv", ["census.py", "--max-edges", "1"])
-    with pytest.raises(SystemExit) as exit_info:
-        runpy.run_path(str(ROOT / "scripts" / "census.py"), run_name="__main__")
-    assert exit_info.value.code == EXIT_VERIFY
-    assert "-> False" in capsys.readouterr().out
+    breaks = [(catalog, "labeled_pairing_sum",
+               lambda profile, *args, **kwargs: real(profile) + NPoly.N(1)),
+              (oracle, "_loop_moment", lambda *args: NPoly.zero())]
+    for module, name, broken in breaks:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, broken)
+            patch.setattr(sys, "argv", ["census.py", "--max-edges", "1"])
+            with pytest.raises(SystemExit) as exit_info:
+                runpy.run_path(str(ROOT / "scripts" / "census.py"), run_name="__main__")
+        assert exit_info.value.code == EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert "-> False" in out and ("Wick check on" in out) == (module is oracle), name
 
 
 def _exit_code(monkeypatch, script: str, *args) -> int:
